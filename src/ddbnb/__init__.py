@@ -12,7 +12,7 @@ from .mdd import (DecisionDiagram, DiagramKind, Node, SubProblem,
                   restrict_layer, to_dot)
 from .model import (NEG_INF, POS_INF, Problem, Relaxation, best_completion,
                     brute_force_optimum, evaluate_assignment, iter_bits)
-from .pruning import compute_local_bounds, rub_admits
+from .pruning import compute_local_bounds
 from .solver import (Fringe, Outcome, SolveConfig, Status, end_gap, solve)
 
 __all__ = [
@@ -21,7 +21,7 @@ __all__ = [
     "restrict_layer", "to_dot",
     "NEG_INF", "POS_INF", "Problem", "Relaxation", "best_completion",
     "brute_force_optimum", "evaluate_assignment", "iter_bits",
-    "compute_local_bounds", "rub_admits",
+    "compute_local_bounds",
     "Fringe", "Outcome", "SolveConfig", "Status", "end_gap", "solve",
 ]
 

@@ -17,7 +17,7 @@ from . import instances
 from .mdd import DiagramKind, SubProblem, compile_diagram, to_dot
 from .model import NEG_INF, POS_INF
 from .problems import max2sat, mcp, misp, tsptw
-from .solver import Outcome, SolveConfig, Status, end_gap, solve
+from .solver import SolveConfig, Status, solve
 
 LOADERS = {
     "misp": misp.load,
@@ -45,6 +45,11 @@ def _reported(problem, value):
     return -value if problem.negated else value
 
 
+def _json_number(x):
+    """JSON has no infinities: an unbounded side is reported as null."""
+    return None if x in (NEG_INF, POS_INF) else x
+
+
 def _fmt(x) -> str:
     if x == NEG_INF:
         return "-inf"
@@ -59,11 +64,8 @@ def _solve_one(problem_name: str, path: Path, width, use_rub, use_locb,
     config = SolveConfig(width=width, use_rub=use_rub, use_locb=use_locb,
                          timeout=timeout, workers=workers)
     outcome = solve(problem, relaxation, config)
-    objective = _reported(problem, outcome.value)
-    bound = _reported(problem, outcome.bound)
-    lo, hi = min(objective, bound), max(objective, bound)
-    gap = end_gap(lo, hi)
-    return outcome, objective, bound, gap
+    return (outcome, _reported(problem, outcome.value),
+            _reported(problem, outcome.bound))
 
 
 def cmd_solve(args) -> int:
@@ -78,21 +80,22 @@ def cmd_solve(args) -> int:
         dd = compile_diagram(problem, relaxation, root, DiagramKind.RELAXED,
                              width)
         Path(args.dot).write_text(to_dot(dd))
-    outcome, objective, bound, gap = _solve_one(
+    outcome, objective, bound = _solve_one(
         args.problem, path, args.width, args.rub, args.locb, args.timeout,
         args.threads)
+    gap = outcome.gap
     payload = {
         "status": outcome.status.value,
         "gap": gap,
-        "objective": objective,
-        "bound": bound,
+        "objective": _json_number(objective),
+        "bound": _json_number(bound),
         "explored": outcome.explored,
         "seconds": round(outcome.duration, 3),
         "problem": args.problem,
         "instance": str(path),
     }
     if args.json:
-        print(json.dumps(payload))
+        print(json.dumps(payload, allow_nan=False))
     else:
         print(f"status={payload['status']} gap={gap}"
               f" objective={_fmt(objective)} bound={_fmt(bound)}"
@@ -139,13 +142,13 @@ def cmd_bench(args) -> int:
             continue
         for name in config_names:
             use_rub, use_locb = CONFIGS[name]
-            outcome, objective, bound, gap = _solve_one(
+            outcome, objective, bound = _solve_one(
                 problem_name, path, args.width, use_rub, use_locb,
                 args.timeout, args.threads)
             seconds = "0.000" if args.no_time else f"{outcome.duration:.3f}"
             writer.writerow([rel_path, problem_name, name,
                              outcome.status.value, _fmt(objective),
-                             _fmt(bound), repr(gap), outcome.explored,
+                             _fmt(bound), repr(outcome.gap), outcome.explored,
                              seconds])
     if args.output:
         out.close()

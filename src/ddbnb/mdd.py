@@ -14,8 +14,9 @@ i.e. it is not a product of merging and all of its parents are exact.  The
 last exact layer is the layer right above the first merged node; its nodes
 are the branching frontier handed back to the branch-and-bound driver.
 
-With `use_rub`, candidate children whose cheap completion bound cannot beat
-the incumbent are discarded before insertion.  This may only remove
+Each node is expanded with one `Problem.successors` call.  With `use_rub`,
+every candidate arc whose child's `rough_bound` does not strictly beat the
+incumbent is discarded before insertion.  This may only remove
 completions that are no better than the incumbent, so values derived from the
 diagram remain valid for pruning and incumbent improvement.
 """
@@ -27,7 +28,6 @@ from enum import Enum
 from typing import Any, List, Optional, Sequence, Tuple
 
 from .model import NEG_INF, POS_INF, Problem, Relaxation
-from .pruning import rub_admits
 
 
 class DiagramKind(Enum):
@@ -152,24 +152,18 @@ def compile_diagram(problem: Problem, relaxation: Optional[Relaxation],
     dd.layers.append([root])
     dd.nodes_created = 1
 
-    domain = problem.domain
-    transition = problem.transition
-    cost = problem.transition_cost
+    successors = problem.successors
+    rough_bound = problem.rough_bound
     first_inexact: Optional[int] = None
 
     for k in range(first, problem.n):
         by_state: dict = {}
         for node in dd.layers[-1]:
-            state = node.state
             base = node.value_top
-            for value in domain(state, k):
-                child_state = transition(state, k, value)
-                if child_state is None:
-                    continue
-                weight = cost(state, k, value)
+            for value, child_state, weight in successors(node.state, k):
                 candidate = base + weight
-                if use_rub and not rub_admits(problem, child_state, candidate,
-                                              k + 1, incumbent):
+                if use_rub and not rough_bound(child_state, candidate,
+                                               k + 1) > incumbent:
                     continue
                 child = by_state.get(child_state)
                 if child is None:
@@ -218,13 +212,7 @@ def best_solution(dd: DecisionDiagram):
     node = dd.best_terminal
     if node is None:
         return None
-    values = []
-    while node.best_arc is not None:
-        parent, value, _ = node.best_arc
-        values.append(value)
-        node = parent
-    values.reverse()
-    return dd.value, values
+    return dd.value, _path_to(node)
 
 
 def _path_to(node: Node) -> list:

@@ -15,7 +15,7 @@ of variables, so carrying explicit variable indices around would be redundant.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Any, Iterable, Optional, Sequence
+from typing import Any, Iterable, Optional, Sequence, Tuple
 
 NEG_INF = float("-inf")
 POS_INF = float("inf")
@@ -65,6 +65,21 @@ class Problem(ABC):
     @abstractmethod
     def transition_cost(self, state: State, k: int, value) -> int:
         """Immediate reward of assigning `value` to variable k from `state`."""
+
+    def successors(self, state: State, k: int) -> Iterable[Tuple[Any, State, int]]:
+        """(value, next state, cost) for every feasible value of variable k.
+
+        Must agree with `domain`, `transition` and `transition_cost`: the
+        same values in `domain` order, skipping those `transition` rejects.
+        The default is built from those three; models override it to compute
+        each child state and its cost in one pass.  The triple stays the
+        reference that `evaluate_assignment` and the enumeration oracles
+        replay.
+        """
+        for value in self.domain(state, k):
+            nxt = self.transition(state, k, value)
+            if nxt is not None:
+                yield value, nxt, self.transition_cost(state, k, value)
 
     def rough_bound(self, state: State, value_top, k: int):
         """Cheap admissible bound on the best total reachable through `state`.

@@ -88,11 +88,16 @@ class Max2Sat(Problem):
                 total = pp + pn + np_ + nn
                 acc += total - min(pp, pn, np_, nn)
             best[i] = best[i + 1] + acc
-        self.remaining = tuple(best)
         prefix = [0] * (n + 1)
         for k in range(1, n + 1):
             prefix[k] = prefix[k - 1] + taut[k - 1]
-        self.settled_taut = tuple(prefix)
+        self.rest = tuple(r + t - self.initial_value
+                          for r, t in zip(best, prefix))
+        # weight of the pair clauses a decision satisfies outright
+        self.sat_false = tuple(sum(np_ + nn for _, _, _, np_, nn in ps)
+                               for ps in self.pairs_of)
+        self.sat_true = tuple(sum(pp + pn for _, pp, pn, _, _ in ps)
+                              for ps in self.pairs_of)
 
     def domain(self, state, k: int):
         return (0, 1)
@@ -128,10 +133,27 @@ class Max2Sat(Problem):
             cost += (total - abs(s_j + delta) + abs(s_j)) // 2
         return cost
 
+    def successors(self, state: Tuple[int, ...], k: int):
+        s_k = state[k]
+        false_state = list(state)
+        false_state[k] = 0
+        true_state = false_state[:]
+        false_cost = self.uneg[k] + max(0, -s_k) + self.sat_false[k]
+        true_cost = self.upos[k] + max(0, s_k) + self.sat_true[k]
+        for j, pp, pn, np_, nn in self.pairs_of[k]:
+            s_j = state[j]
+            a_j = abs(s_j)
+            nxt = s_j + pp - pn
+            false_state[j] = nxt
+            false_cost += (pp + pn - abs(nxt) + a_j) // 2
+            nxt = s_j + np_ - nn
+            true_state[j] = nxt
+            true_cost += (np_ + nn - abs(nxt) + a_j) // 2
+        return ((0, tuple(false_state), false_cost),
+                (1, tuple(true_state), true_cost))
+
     def rough_bound(self, state: Tuple[int, ...], value_top, k: int):
-        pending = sum(abs(state[l]) for l in range(k, self.n))
-        return (value_top + pending + self.remaining[k]
-                + self.settled_taut[k] - self.initial_value)
+        return value_top + sum(map(abs, state[k:])) + self.rest[k]
 
 
 def load(text: str):

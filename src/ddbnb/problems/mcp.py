@@ -26,6 +26,7 @@ lost, so no path length can decrease.
 
 from __future__ import annotations
 
+from operator import add, sub
 from typing import Sequence, Tuple
 
 from ..instances import Graph
@@ -40,19 +41,19 @@ class MaxCut(Problem):
         self.w = tuple(tuple(row) for row in graph.weight_matrix())
         self.initial_state = (0,) * self.n
         self.initial_value = sum(min(0, wt) for wt in graph.edges.values())
-        # Layer tables for the completion bound: remaining[k] over-estimates
-        # the cut among undecided vertices, settled[k] re-adds the negative
-        # edges already interconnecting decided ones.
+        # per decision k: total magnitude of the weights to later vertices
+        self.abs_w_after = tuple(sum(map(abs, row[k + 1:]))
+                                 for k, row in enumerate(self.w))
+        # Layer table for the completion bound: rem[k] over-estimates the
+        # cut among undecided vertices, neg[k] re-adds the negative edges
+        # already interconnecting decided ones (w is symmetric).
         rem = [0] * (self.n + 1)
         for i in range(self.n - 1, -1, -1):
-            rem[i] = rem[i + 1] + sum(max(0, self.w[i][j])
-                                      for j in range(i + 1, self.n))
+            rem[i] = rem[i + 1] + sum(x for x in self.w[i][i + 1:] if x > 0)
         neg = [0] * (self.n + 1)
         for k in range(1, self.n + 1):
-            neg[k] = neg[k - 1] + sum(min(0, self.w[i][k - 1])
-                                      for i in range(k - 1))
-        self.remaining = tuple(rem)
-        self.settled_negative = tuple(neg)
+            neg[k] = neg[k - 1] + sum(x for x in self.w[k - 1][:k - 1] if x < 0)
+        self.rest = tuple(r + s - self.initial_value for r, s in zip(rem, neg))
 
     def domain(self, state, k: int):
         return (S, T)
@@ -82,10 +83,26 @@ class MaxCut(Problem):
                 cost += min(abs(state[l]), abs(w_k[l]))
         return cost
 
+    def successors(self, state: Tuple[int, ...], k: int):
+        # For each undecided l, |s_l| + |w_kl| - |s_l +- w_kl| is twice the
+        # min(|s_l|, |w_kl|) that transition_cost collects when the update
+        # cancels against s_l, and 0 otherwise.
+        tail = state[k + 1:]
+        w_tail = self.w[k][k + 1:]
+        both = sum(map(abs, tail)) + self.abs_w_after[k]
+        to_s = list(state)
+        to_s[k] = 0
+        to_t = to_s[:]
+        to_s[k + 1:] = map(add, tail, w_tail)
+        to_t[k + 1:] = map(sub, tail, w_tail)
+        s_k = state[k]
+        return ((S, tuple(to_s),
+                 max(0, -s_k) + (both - sum(map(abs, to_s[k + 1:]))) // 2),
+                (T, tuple(to_t),
+                 max(0, s_k) + (both - sum(map(abs, to_t[k + 1:]))) // 2))
+
     def rough_bound(self, state: Tuple[int, ...], value_top, k: int):
-        pending = sum(abs(state[l]) for l in range(k, self.n))
-        return (value_top + pending + self.remaining[k]
-                + self.settled_negative[k] - self.initial_value)
+        return value_top + sum(map(abs, state[k:])) + self.rest[k]
 
 
 class BenefitVectorRelaxation(Relaxation):

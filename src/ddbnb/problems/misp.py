@@ -39,6 +39,14 @@ class MaxIndependentSet(Problem):
     def transition_cost(self, state: int, k: int, value: int) -> int:
         return self.weights[k] if value else 0
 
+    def successors(self, state: int, k: int):
+        bit = 1 << k
+        skip = state & ~bit
+        if state & bit:
+            return ((0, skip, 0),
+                    (1, skip & ~self.neighbors[k], self.weights[k]))
+        return ((0, skip, 0),)
+
     def rough_bound(self, state: int, value_top, k: int):
         positive = self.positive
         return value_top + sum(positive[i] for i in iter_bits(state))

@@ -33,7 +33,7 @@ from __future__ import annotations
 from typing import NamedTuple, Sequence
 
 from ..instances import TsptwInstance
-from ..model import NEG_INF, Problem, Relaxation, iter_bits
+from ..model import NEG_INF, POS_INF, Problem, Relaxation, iter_bits
 
 
 class TsptwState(NamedTuple):
@@ -55,6 +55,12 @@ class Tsptw(Problem):
         self.shortest_edge = inst.shortest_edge
         self.initial_state = TsptwState(1, 0, 0, ((1 << inst.n) - 1) & ~1, 0)
         self.initial_value = 0
+        self.opens = tuple(open_t for open_t, _ in inst.windows)
+        self.closes = tuple(close_t for _, close_t in inst.windows)
+        # latest time from which city p can still be entered inside its window
+        self.last_start = tuple(close_t - edge for close_t, edge
+                                in zip(self.closes, inst.shortest_edge))
+        self.to_depot = tuple(row[0] for row in inst.dist)
 
     def domain(self, state: TsptwState, k: int):
         if k == self.n - 1:
@@ -94,32 +100,90 @@ class Tsptw(Problem):
         wait = max(0, self.windows[city][0] - lo)
         return -(travel + wait)
 
+    def successors(self, state: TsptwState, k: int):
+        position, earliest, latest, must, may = state
+        dist = self.dist
+        if position & (position - 1):
+            rows = [dist[p] for p in iter_bits(position)]
+        else:
+            rows = None
+            row = dist[position.bit_length() - 1]
+        if k == self.n - 1:
+            if rows is None:
+                lo_d = hi_d = row[0]
+            else:
+                lo_d = min(r[0] for r in rows)
+                hi_d = max(r[0] for r in rows)
+            lo = earliest + lo_d
+            close_t = self.closes[0]
+            if lo > close_t:
+                return ()
+            return ((0, TsptwState(1, lo, max(lo, min(close_t, latest + hi_d)),
+                                   0, 0), -lo_d),)
+        opens, closes = self.opens, self.closes
+        out = []
+        pool = must | may
+        while pool:
+            bit = pool & -pool
+            pool ^= bit
+            city = bit.bit_length() - 1
+            if rows is None:
+                lo_d = hi_d = row[city]
+            else:
+                lo_d = min(r[city] for r in rows)
+                hi_d = max(r[city] for r in rows)
+            lo = earliest + lo_d
+            close_t = closes[city]
+            if lo > close_t:
+                continue
+            open_t = opens[city]
+            start = open_t if open_t > lo else lo
+            hi = latest + hi_d
+            end = hi if hi < close_t else close_t
+            if end < start:
+                end = start
+            # minus travel and wait, which add up to start - earliest
+            out.append((city, TsptwState(bit, start, end, must & ~bit,
+                                         may & ~bit), earliest - start))
+        return out
+
     def rough_bound(self, state: TsptwState, value_top, k: int):
-        earliest = state.earliest
-        shortest = self.shortest_edge
-        windows = self.windows
-        unreachable_may = 0
-        for p in iter_bits(state.may):
-            if earliest + shortest[p] > windows[p][1]:
-                unreachable_may += 1
-        must_count = state.must.bit_count()
-        may_count = state.may.bit_count()
-        slots = (self.n - 1) - k
-        if must_count + may_count - unreachable_may < slots:
+        position, earliest, _, must, may = state
+        last_start = self.last_start
+        # cities that can still fill a slot: every mandatory one (checked
+        # below) and the optional ones still reachable inside their windows
+        candidates = must.bit_count()
+        mask = may
+        while mask:
+            bit = mask & -mask
+            mask ^= bit
+            if earliest <= last_start[bit.bit_length() - 1]:
+                candidates += 1
+        if candidates < (self.n - 1) - k:
             return NEG_INF
+        shortest = self.shortest_edge
         base = earliest
-        for p in iter_bits(state.must):
-            if earliest + shortest[p] > windows[p][1]:
+        mask = must
+        while mask:
+            bit = mask & -mask
+            mask ^= bit
+            p = bit.bit_length() - 1
+            if earliest > last_start[p]:
                 return NEG_INF
             base += shortest[p]
-        depot_close = windows[0][1]
+        depot_close = self.closes[0]
         if base > depot_close:
             return NEG_INF
-        if state.must:
-            back_from = state.must | state.may
-        else:
-            back_from = state.position | state.may
-        total = base + min(self.dist[p][0] for p in iter_bits(back_from))
+        to_depot = self.to_depot
+        mask = (must or position) | may
+        back = POS_INF
+        while mask:
+            bit = mask & -mask
+            mask ^= bit
+            d = to_depot[bit.bit_length() - 1]
+            if d < back:
+                back = d
+        total = base + back
         if total > depot_close:
             return NEG_INF
         return -total

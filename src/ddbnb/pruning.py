@@ -1,4 +1,4 @@
-"""Bound-based pruning: per-cutset local bounds and the cheap admission check.
+"""Bound-based pruning: per-cutset local bounds.
 
 `compute_local_bounds` walks a relaxed diagram bottom-up from its terminal
 layer, stopping once it crosses the last exact layer.  Along the way it marks
@@ -15,24 +15,19 @@ anywhere other than a full exact layer would need the traversal to continue
 all the way up to the root; stopping at the last exact layer is only sound
 because the cutset here always is that whole layer.
 
-`rub_admits` is the admission test applied to candidate nodes while a
-diagram is being compiled: a node survives only when its cheap completion
-bound strictly beats the incumbent.
+The other filter, rough-bound filtering, runs inside `compile_diagram`: a
+candidate node survives only when `Problem.rough_bound` strictly beats the
+incumbent.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from .model import NEG_INF, Problem
+from .model import NEG_INF
 
 if TYPE_CHECKING:  # pragma: no cover
     from .mdd import DecisionDiagram
-
-
-def rub_admits(problem: Problem, state, value_top, layer: int, incumbent) -> bool:
-    """True when `state` may still lead to something better than `incumbent`."""
-    return problem.rough_bound(state, value_top, layer) > incumbent
 
 
 def compute_local_bounds(dd: "DecisionDiagram") -> int:

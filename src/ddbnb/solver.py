@@ -65,7 +65,7 @@ class Outcome:
     value: float                     # incumbent value, NEG_INF when none
     assignment: Optional[list]
     bound: float                     # best proven upper bound
-    gap: float
+    gap: float                       # end_gap of the sign-corrected values
     explored: int                    # popped subproblems
     duration: float
     dd_nodes: int = 0                # nodes created across all compilations
@@ -261,7 +261,11 @@ def solve(problem: Problem, relaxation: Relaxation,
     else:
         status = Status.OPTIMAL
         bound = search.incumbent
-    gap = end_gap(search.incumbent, bound)
+    if problem.negated:
+        # minimization: the reported bound -bound is the smaller side
+        gap = end_gap(-bound, -search.incumbent)
+    else:
+        gap = end_gap(search.incumbent, bound)
     return Outcome(status=status, value=search.incumbent,
                    assignment=search.assignment, bound=bound, gap=gap,
                    explored=search.explored, duration=duration,

@@ -80,6 +80,24 @@ def test_solve_timeout_exit_code(tmp_path, capsys):
     assert "bound" in payload and "objective" in payload
 
 
+def test_solve_json_is_valid_on_infeasible_instance(tmp_path, capsys):
+    # the two-city instance whose only tour misses city 1's window: no
+    # objective and no bound exist, and JSON has no Infinity to say so
+    path = tmp_path / "infeasible.tw"
+    path.write_text("2\n0 5\n5 0\n0 100\n0 1\n")
+
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    code, out, _ = run_cli("solve", "tsptw", str(path), "--json",
+                           capsys=capsys)
+    assert code == 0
+    payload = json.loads(out, parse_constant=reject)
+    assert payload["status"] == "optimal"
+    assert payload["gap"] == 0.0
+    assert payload["objective"] is None and payload["bound"] is None
+
+
 def test_solve_missing_file(capsys):
     code, _, err = run_cli("solve", "misp", "no-such-file.gr", capsys=capsys)
     assert code == 1

@@ -1,10 +1,11 @@
 import pytest
 
-from ddbnb import NEG_INF, brute_force_optimum, evaluate_assignment
+from ddbnb import (DiagramKind, NEG_INF, Problem, SubProblem,
+                   brute_force_optimum, compile_diagram, evaluate_assignment)
 from ddbnb import instances as io
 from ddbnb.problems import mcp, misp
 
-from support import independent_set_optimum, max_cut_optimum
+from support import independent_set_optimum, make_problem, max_cut_optimum
 
 
 def misp_problem(n, edges, weights):
@@ -65,3 +66,28 @@ def test_brute_force_infeasible_reports_neg_inf():
 
     value, assignment = brute_force_optimum(tsptw.Tsptw(inst))
     assert value == NEG_INF and assignment is None
+
+
+@pytest.mark.parametrize("name", ["misp", "mcp", "max2sat", "tsptw"])
+def test_successors_match_the_reference_triple(name):
+    # every node of the exact diagram of every criterion-1 suite instance:
+    # the model's one-pass successors must list the same values in domain
+    # order, with the states and costs of transition/transition_cost
+    from test_acceptance import SUITE_SHAPE
+
+    count, size, density = SUITE_SHAPE[name]
+    nodes = 0
+    for seed in range(count):
+        _, problem, relaxation = make_problem(name, seed, size(seed),
+                                              density(seed))
+        assert type(problem).successors is not Problem.successors
+        dd = compile_diagram(problem, relaxation,
+                             SubProblem(problem.initial_state,
+                                        problem.initial_value),
+                             DiagramKind.EXACT)
+        for k, layer in enumerate(dd.layers[:problem.n]):
+            for node in layer:
+                assert (list(problem.successors(node.state, k))
+                        == list(Problem.successors(problem, node.state, k)))
+                nodes += 1
+    assert nodes > count

@@ -2,7 +2,7 @@ import pytest
 
 from ddbnb import (DecisionDiagram, DiagramKind, NEG_INF, Node, SubProblem,
                    best_completion, compile_diagram, compute_local_bounds,
-                   exact_cutset, rub_admits)
+                   exact_cutset)
 from ddbnb.problems import misp
 from ddbnb import instances as io
 
@@ -63,13 +63,23 @@ def test_dead_end_cutset_node_gets_neg_inf():
     assert b.local_bound == NEG_INF  # b never reaches the terminal
 
 
-def test_rub_admits_strict_boundary():
+def test_rub_filter_strict_boundary():
     problem = misp.MaxIndependentSet(io.Graph(1, {}, (42,)))
-    # rough bound from the full candidate mask is value_top + 42
-    assert not rub_admits(problem, 0b1, 0, 1, 100)
-    assert rub_admits(problem, 0b1, 0, 1, NEG_INF)
-    assert not rub_admits(problem, 0b1, 0, 1, 42)  # equality is rejected
-    assert rub_admits(problem, 0b1, 0, 1, 41)
+    relaxation = misp.MispRelaxation()
+    # both arcs out of the root lead to the empty mask, whose rough bound is
+    # the arc's value from the root: 0 when skipping the vertex, 42 when
+    # taking it; an arc survives only when that strictly beats the incumbent
+    sub = SubProblem(problem.initial_state, problem.initial_value)
+    for incumbent, arcs in ((100, []), (NEG_INF, [(0, 0), (1, 42)]),
+                            (42, []),  # equality is rejected
+                            (41, [(1, 42)])):
+        dd = compile_diagram(problem, relaxation, sub, DiagramKind.EXACT,
+                             incumbent=incumbent, use_rub=True,
+                             keep_arcs=True)
+        survivors = [(value, weight) for node in dd.layers[1]
+                     for _, value, weight in node.inbound]
+        assert survivors == arcs
+        assert dd.value == (42 if arcs else NEG_INF)
 
 
 def test_compute_local_bounds_requires_inexact_relaxed():

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from ddbnb import (Fringe, NEG_INF, POS_INF, SolveConfig, Status, SubProblem,
@@ -138,6 +140,28 @@ def test_zero_timeout_reports_open_bounds():
     assert out.bound == POS_INF
     assert out.gap == 100.0
     assert out.explored == 0
+
+
+def test_minimization_gap_is_sign_corrected_on_timeout():
+    # the hook outlasts the deadline on the second pop, so the solve stops
+    # after exactly two explorations with a tour found and a tour bounded
+    _, problem, relaxation = make_problem("tsptw", 4, 6)
+    timeout = 0.2
+    pops = []
+
+    def hook(incumbent, bound):
+        pops.append(incumbent)
+        if len(pops) == 2:
+            time.sleep(timeout + 0.01)
+
+    out = solve(problem, relaxation,
+                SolveConfig(width=1, timeout=timeout, iteration_hook=hook))
+    assert out.status is Status.TIMEOUT
+    assert out.explored == 2
+    assert NEG_INF < out.value < out.bound < POS_INF
+    # reported makespans: -value is the tour found, -bound its lower bound
+    assert 0.0 < out.gap < 100.0
+    assert out.gap == end_gap(-out.bound, -out.value)
 
 
 def test_workers_agree_with_single_thread():
