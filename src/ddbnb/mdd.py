@@ -9,20 +9,22 @@ keeps the best `width - 1` of them and folds the rest into a single merged
 node through the problem's merge/relax operators.  Ranking ties break on
 insertion order so compilation is fully deterministic.
 
-A node is exact while every path into it is a path of the exact diagram,
-i.e. it is not a product of merging and all of its parents are exact.  The
-last exact layer is the layer right above the first merged node; its nodes
-are the branching frontier handed back to the branch-and-bound driver.
+A node is exact while every path into it is a path of the exact diagram.
+Only a relaxed squeeze makes nodes inexact, and each one leaves a merged node
+in its layer, so the last exact layer is the one above the first relaxed
+squeeze; its nodes are the branching frontier handed to the driver.
 
 Each node is expanded with one `Problem.successors` call.  With `use_rub`,
 every candidate arc whose child's `rough_bound` does not strictly beat the
 incumbent is discarded before insertion.  This may only remove
 completions that are no better than the incumbent, so values derived from the
-diagram remain valid for pruning and incumbent improvement.
+diagram remain valid for pruning and incumbent improvement.  A deadline is
+checked before each layer; once it has passed, `TimeoutError` is raised.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, List, Optional, Sequence, Tuple
@@ -43,8 +45,7 @@ class Node:
     best_arc: Optional[tuple] = None    # (parent Node, decision value, weight)
     exact: bool = True
     inbound: Optional[list] = None      # all (parent, value, weight) arcs
-    value_bot: Any = NEG_INF            # value of the best node-to-terminal path
-    marked: bool = False                # reachable from the terminal layer
+    value_bot: Any = NEG_INF            # best node-to-terminal path or NEG_INF
     local_bound: Any = NEG_INF
 
 
@@ -74,46 +75,45 @@ class DecisionDiagram:
         return self.best_terminal.value_top if self.best_terminal else NEG_INF
 
 
-def _rank(nodes: Sequence[Node]) -> List[int]:
-    """Indices sorted by value-from-root descending, insertion order on ties."""
-    return sorted(range(len(nodes)), key=lambda i: (-nodes[i].value_top, i))
+def _split(nodes: Sequence[Node], count: int) -> Tuple[List[Node], List[Node]]:
+    """(the `count` nodes with the largest value-from-root, the others), both
+    in insertion order; of the nodes tied at the cut, the earlier are kept."""
+    ranked = sorted([node.value_top for node in nodes], reverse=True)[:count]
+    cut = ranked[-1] if ranked else POS_INF
+    ties = ranked.count(cut)            # kept nodes valued exactly `cut`
+    kept, rest = [], []
+    for node in nodes:
+        value = node.value_top
+        if value > cut or value == cut and ties:
+            ties -= value == cut
+            kept.append(node)
+        else:
+            rest.append(node)
+    return kept, rest
 
 
 def restrict_layer(nodes: List[Node], width: int) -> List[Node]:
     """Keep the `width` nodes with the largest value-from-root."""
-    if len(nodes) <= width:
-        return nodes
-    keep = set(_rank(nodes)[:width])
-    return [node for i, node in enumerate(nodes) if i in keep]
+    return _split(nodes, width)[0] if len(nodes) > width else nodes
 
 
 def relax_layer(nodes: List[Node], width: int, relaxation: Relaxation) -> List[Node]:
     """Merge all nodes ranked below the best `width - 1` into a single node.
 
-    The merged state may collide with a kept node's state, in which case the
-    redirected arcs fold into that node and poison its exactness.  A
-    selection of one node reduces to flagging it inexact (merging is the
-    identity on singletons), which only arises when callers pass a layer of
-    exactly `width` nodes; the compiler itself only squeezes layers that
-    exceed the width.
+    The merged state may collide with a kept node's state; the redirected
+    arcs then fold into that node and poison its exactness.  A layer of
+    exactly `width` nodes selects one node, which is only flagged inexact
+    (merging is the identity on singletons); the compiler never passes one.
     """
-    order = _rank(nodes)
-    kept = [nodes[i] for i in sorted(order[:width - 1])]
-    selected = [nodes[i] for i in sorted(order[width - 1:])]
-    if not selected:
+    if len(nodes) < width:
         return nodes
+    kept, selected = _split(nodes, width - 1)
     merged_state = relaxation.merge([node.state for node in selected])
 
-    target = None
-    for node in kept:
-        if node.state == merged_state:
-            target = node
-            break
+    target = next((node for node in kept if node.state == merged_state), None)
     fresh = target is None
     if fresh:
-        target = Node(merged_state, NEG_INF, None, exact=False, inbound=[])
-    else:
-        target.exact = False
+        target = Node(merged_state, NEG_INF, None, False, [])
 
     for node in selected:
         for parent, value, weight in (node.inbound or ()):
@@ -130,14 +130,16 @@ def relax_layer(nodes: List[Node], width: int, relaxation: Relaxation) -> List[N
 def compile_diagram(problem: Problem, relaxation: Optional[Relaxation],
                     sub: SubProblem, kind: DiagramKind, width: int = 0,
                     incumbent=NEG_INF, use_rub: bool = False,
-                    keep_arcs: Optional[bool] = None) -> DecisionDiagram:
+                    keep_arcs: Optional[bool] = None,
+                    deadline: Optional[float] = None) -> DecisionDiagram:
     """Unroll the subproblem rooted at `sub.state` into a decision diagram.
 
     `width` bounds every layer below the root for restricted/relaxed kinds
     (exact diagrams never bound).  `incumbent` and `use_rub` drive the
     before-insertion completion-bound filter.  `keep_arcs` forces full
     inbound arc lists (on by default for relaxed diagrams, which need them
-    for the bottom-up bound pass and for merging).
+    for the bottom-up bound pass and for merging).  `deadline` is a
+    `time.monotonic()` reading.
     """
     if kind is not DiagramKind.EXACT and width < 1:
         raise ValueError("width-bounded compilation needs width >= 1")
@@ -146,41 +148,44 @@ def compile_diagram(problem: Problem, relaxation: Optional[Relaxation],
     keep = kind is DiagramKind.RELAXED if keep_arcs is None else keep_arcs
 
     first = len(sub.path)
-    root = Node(sub.state, sub.value_top, None, exact=True,
-                inbound=[] if keep else None)
+    root = Node(sub.state, sub.value_top, None, True, [] if keep else None)
     dd = DecisionDiagram(kind=kind, n=problem.n, first_layer=first)
     dd.layers.append([root])
     dd.nodes_created = 1
 
     successors = problem.successors
     rough_bound = problem.rough_bound
-    first_inexact: Optional[int] = None
 
     for k in range(first, problem.n):
+        if deadline is not None and time.monotonic() > deadline:
+            raise TimeoutError("compilation passed its deadline")
         by_state: dict = {}
+        get = by_state.get
         for node in dd.layers[-1]:
             base = node.value_top
+            exact = node.exact
             for value, child_state, weight in successors(node.state, k):
                 candidate = base + weight
                 if use_rub and not rough_bound(child_state, candidate,
                                                k + 1) > incumbent:
                     continue
-                child = by_state.get(child_state)
+                arc = (node, value, weight)
+                child = get(child_state)
                 if child is None:
-                    child = Node(child_state, candidate, (node, value, weight),
-                                 exact=node.exact,
-                                 inbound=[] if keep else None)
-                    by_state[child_state] = child
-                    dd.nodes_created += 1
+                    child = by_state[child_state] = Node(
+                        child_state, candidate, arc, exact,
+                        [] if keep else None)
                 else:
                     if candidate > child.value_top:
                         child.value_top = candidate
-                        child.best_arc = (node, value, weight)
-                    child.exact = child.exact and node.exact
+                        child.best_arc = arc
+                    if not exact:
+                        child.exact = False
                 if keep:
-                    child.inbound.append((node, value, weight))
+                    child.inbound.append(arc)
 
         layer = list(by_state.values())
+        dd.nodes_created += len(layer)
         if kind is not DiagramKind.EXACT and len(layer) > width:
             if kind is DiagramKind.RESTRICTED:
                 layer = restrict_layer(layer, width)
@@ -190,18 +195,16 @@ def compile_diagram(problem: Problem, relaxation: Optional[Relaxation],
                     # width - 1 kept plus a fresh merge node; a collision
                     # folds into a kept node instead and creates nothing
                     dd.nodes_created += 1
+                if dd.last_exact_layer is None:
+                    dd.last_exact_layer = k
             dd.is_exact = False
-        if first_inexact is None and any(not nd.exact for nd in layer):
-            first_inexact = k + 1
         dd.layers.append(layer)
         if not layer:
             break
 
     if len(dd.layers) == problem.n - first + 1 and dd.layers[-1]:
         dd.best_terminal = max(dd.layers[-1], key=lambda nd: nd.value_top)
-    if first_inexact is not None:
-        dd.last_exact_layer = first_inexact - 1
-    elif not dd.is_exact:
+    if dd.last_exact_layer is None and not dd.is_exact:
         # nodes were dropped (restriction) but none merged
         dd.last_exact_layer = first + len(dd.layers) - 1
     return dd
@@ -234,12 +237,9 @@ def exact_cutset(dd: DecisionDiagram, use_local_bounds: bool = True) -> List[Sub
     if dd.kind is not DiagramKind.RELAXED or dd.is_exact:
         raise ValueError("exact cutset is only defined for inexact relaxed diagrams")
     rel = dd.last_exact_layer - dd.first_layer
-    subs = []
-    for node in dd.layers[rel]:
-        ub = node.local_bound if use_local_bounds else dd.value
-        subs.append(SubProblem(node.state, node.value_top,
-                               tuple(_path_to(node)), ub))
-    return subs
+    return [SubProblem(node.state, node.value_top, tuple(_path_to(node)),
+                       node.local_bound if use_local_bounds else dd.value)
+            for node in dd.layers[rel]]
 
 
 def to_dot(dd: DecisionDiagram) -> str:

@@ -121,10 +121,8 @@ class BenefitVectorRelaxation(Relaxation):
         return tuple(merged)
 
     def relax_arc(self, weight, head_state, merged_state):
-        lost = 0
-        for u_l, m_l in zip(head_state, merged_state):
-            lost += abs(u_l) - abs(m_l)
-        return weight + lost
+        # the magnitude the head lost to the merge, summed over components
+        return weight + sum(map(abs, head_state)) - sum(map(abs, merged_state))
 
 
 McpRelaxation = BenefitVectorRelaxation

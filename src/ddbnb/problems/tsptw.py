@@ -121,6 +121,8 @@ class Tsptw(Problem):
             return ((0, TsptwState(1, lo, max(lo, min(close_t, latest + hi_d)),
                                    0, 0), -lo_d),)
         opens, closes = self.opens, self.closes
+        # tuple.__new__ skips the NamedTuple's Python-level __new__
+        new = tuple.__new__
         out = []
         pool = must | may
         while pool:
@@ -143,8 +145,8 @@ class Tsptw(Problem):
             if end < start:
                 end = start
             # minus travel and wait, which add up to start - earliest
-            out.append((city, TsptwState(bit, start, end, must & ~bit,
-                                         may & ~bit), earliest - start))
+            out.append((city, new(TsptwState, (bit, start, end, must & ~bit,
+                                               may & ~bit)), earliest - start))
         return out
 
     def rough_bound(self, state: TsptwState, value_top, k: int):

@@ -1,16 +1,16 @@
 """Bound-based pruning: per-cutset local bounds.
 
 `compute_local_bounds` walks a relaxed diagram bottom-up from its terminal
-layer, stopping once it crosses the last exact layer.  Along the way it marks
-the nodes that can actually reach a terminal and accumulates, per node, the
-value of its best node-to-terminal path.  A cutset node's local bound is then
-its best root-to-node value plus that suffix value: the value of the best
-full path threading through it, an upper bound on anything attainable from
-its state.  Unmarked cutset nodes are dead ends and get the NEG_INF bound.
+layer, stopping once it crosses the last exact layer.  Along the way it
+accumulates, per node, the value of its best node-to-terminal path; it stays
+NEG_INF on the nodes that cannot reach a terminal.  A cutset node's local
+bound is then its best root-to-node value plus that suffix value: the value
+of the best full path threading through it, an upper bound on anything
+attainable from its state.  Dead-end cutset nodes get the NEG_INF bound.
 
-Everything lives inside the already-allocated nodes (one flag and two numbers
-each) and the traversal touches only arcs the compilation created, so the
-pass costs nothing beyond the compilation itself.  Note that a cutset taken
+Everything lives inside the already-allocated nodes (two numbers each) and
+the traversal touches only arcs the compilation created, so the pass costs
+nothing beyond the compilation itself.  Note that a cutset taken
 anywhere other than a full exact layer would need the traversal to continue
 all the way up to the root; stopping at the last exact layer is only sound
 because the cutset here always is that whole layer.
@@ -47,17 +47,15 @@ def compute_local_bounds(dd: "DecisionDiagram") -> int:
     visits = 0
     if dd.best_terminal is not None:
         for node in dd.layers[-1]:
-            node.marked = True
             node.value_bot = 0
         cutoff = dd.last_exact_layer - dd.first_layer
         for rel in range(len(dd.layers) - 1, cutoff, -1):
             for node in dd.layers[rel]:
                 visits += 1
-                if not node.marked:
-                    continue
                 bot = node.value_bot
+                if bot == NEG_INF:
+                    continue
                 for parent, _, weight in (node.inbound or ()):
-                    parent.marked = True
                     candidate = bot + weight
                     if candidate > parent.value_bot:
                         parent.value_bot = candidate
@@ -65,8 +63,6 @@ def compute_local_bounds(dd: "DecisionDiagram") -> int:
     rel = dd.last_exact_layer - dd.first_layer
     for node in dd.layers[rel]:
         visits += 1
-        if node.marked:
-            node.local_bound = node.value_top + node.value_bot
-        else:
-            node.local_bound = NEG_INF
+        # a dead end's NEG_INF suffix makes its bound NEG_INF as well
+        node.local_bound = node.value_top + node.value_bot
     return visits

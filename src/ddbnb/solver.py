@@ -49,7 +49,7 @@ class SolveConfig:
     width: Optional[int] = None      # None: number of unfixed variables
     use_rub: bool = True
     use_locb: bool = True
-    timeout: Optional[float] = None  # seconds, checked between explorations
+    timeout: Optional[float] = None  # seconds, checked before each layer
     workers: int = 1
     # test/diagnostic hooks, called in-line by the exploring worker; the
     # observer also receives the incumbent the compilation filtered against
@@ -159,7 +159,8 @@ class _Search:
         width = self.subproblem_width(sub)
         restricted = compile_diagram(self.problem, self.relaxation, sub,
                                      DiagramKind.RESTRICTED, width,
-                                     incumbent, cfg.use_rub)
+                                     incumbent, cfg.use_rub,
+                                     deadline=self.deadline)
         nodes = restricted.nodes_created
         if cfg.dd_observer:
             cfg.dd_observer("restricted", restricted, sub,
@@ -171,7 +172,8 @@ class _Search:
                 incumbent = solution[0]
             relaxed = compile_diagram(self.problem, self.relaxation, sub,
                                       DiagramKind.RELAXED, width,
-                                      incumbent, cfg.use_rub)
+                                      incumbent, cfg.use_rub,
+                                      deadline=self.deadline)
             nodes += relaxed.nodes_created
             if relaxed.is_exact:
                 # the rough-bound filter kept every layer within the width
@@ -219,6 +221,15 @@ class _Search:
                 self.busy += 1
             try:
                 solution, children, nodes = self.explore(sub, incumbent)
+            except TimeoutError:
+                # the deadline passed mid-compilation: hand the subproblem
+                # back so the reported bound still covers it
+                with self.cond:
+                    self.busy -= 1
+                    self.fringe.push(sub)
+                    self.timed_out = True
+                    self.cond.notify_all()
+                break
             except BaseException:
                 with self.cond:
                     self.busy -= 1

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from ddbnb import (DiagramKind, NEG_INF, Node, SubProblem, best_solution,
@@ -131,6 +133,40 @@ def test_relax_collision_folds_into_kept_node():
     assert not layer[0].exact
     assert layer[0].value_top == 9
     assert len(layer[0].inbound) == 3
+
+
+def test_relax_breaks_ties_by_insertion():
+    # width 3 keeps two nodes: the 9 and the first of the 5s tied at the cut,
+    # also when a tied node comes before the 9
+    parent = Node(state=0, value_top=0)
+    for values, kept in (([9, 5, 5, 5], [0b0001, 0b0010]),
+                         ([5, 9, 5, 5], [0b0001, 0b0010])):
+        layer = [Node(state=1 << i, value_top=v, inbound=[(parent, 1, v)])
+                 for i, v in enumerate(values)]
+        squeezed = relax_layer(layer, 3, misp.MispRelaxation())
+        assert [n.state for n in squeezed] == kept + [0b1100]
+        assert [n.exact for n in squeezed] == [True, True, False]
+        assert squeezed[-1].value_top == 5
+
+
+def test_squeezes_match_the_sorted_ranking():
+    # reference: indices by value descending, insertion order on ties
+    rng = random.Random(3)
+    for _ in range(200):
+        values = [rng.randrange(4) for _ in range(rng.randrange(1, 9))]
+        ranked = sorted(range(len(values)), key=lambda i: (-values[i], i))
+        for width in range(1, len(values) + 2):
+            layer = [Node(state=1 << i, value_top=v, inbound=[])
+                     for i, v in enumerate(values)]
+            kept = restrict_layer(layer, width)
+            assert kept == [layer[i] for i in sorted(ranked[:width])]
+            squeezed = relax_layer(layer, width, misp.MispRelaxation())
+            if len(layer) < width:
+                assert squeezed is layer
+                continue
+            assert squeezed[:-1] == [layer[i]
+                                     for i in sorted(ranked[:width - 1])]
+            assert not squeezed[-1].exact
 
 
 # ---------------------------------------------------------------------------

@@ -142,6 +142,22 @@ def test_zero_timeout_reports_open_bounds():
     assert out.explored == 0
 
 
+def test_deadline_cuts_a_long_exploration_short():
+    # one exploration of this instance at this width compiles for seconds;
+    # the deadline is checked before every layer, so the solve returns
+    # within about one layer of it, with the cut subproblem's bound intact
+    _, problem, relaxation = make_problem("mcp", 0, 50)
+    timeout = 0.3
+    started = time.monotonic()
+    out = solve(problem, relaxation, SolveConfig(width=3000, timeout=timeout))
+    elapsed = time.monotonic() - started
+    assert out.status is Status.TIMEOUT
+    assert elapsed < timeout + 1.5
+    assert out.explored == 1
+    assert out.bound >= out.value
+    assert out.bound == POS_INF  # the root went back onto the fringe
+
+
 def test_minimization_gap_is_sign_corrected_on_timeout():
     # the hook outlasts the deadline on the second pop, so the solve stops
     # after exactly two explorations with a tour found and a tour bounded
