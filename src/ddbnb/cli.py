@@ -7,10 +7,11 @@ input error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import functools
 import json
 import sys
-import time
 from pathlib import Path
 
 from . import instances
@@ -40,6 +41,13 @@ def _onoff(value: str) -> bool:
     return value == "on"
 
 
+def _positive(value: str) -> int:
+    number = int(value)
+    if number < 1:
+        raise argparse.ArgumentTypeError("expected an integer >= 1")
+    return number
+
+
 def _reported(problem, value):
     """Sign-corrected objective value for display."""
     return -value if problem.negated else value
@@ -59,10 +67,10 @@ def _fmt(x) -> str:
 
 
 def _solve_one(problem_name: str, path: Path, width, use_rub, use_locb,
-               timeout, workers) -> tuple:
+               timeout) -> tuple:
     problem, relaxation = LOADERS[problem_name](path.read_text())
     config = SolveConfig(width=width, use_rub=use_rub, use_locb=use_locb,
-                         timeout=timeout, workers=workers)
+                         timeout=timeout)
     outcome = solve(problem, relaxation, config)
     return (outcome, _reported(problem, outcome.value),
             _reported(problem, outcome.bound))
@@ -81,8 +89,7 @@ def cmd_solve(args) -> int:
                              width)
         Path(args.dot).write_text(to_dot(dd))
     outcome, objective, bound = _solve_one(
-        args.problem, path, args.width, args.rub, args.locb, args.timeout,
-        args.threads)
+        args.problem, path, args.width, args.rub, args.locb, args.timeout)
     gap = outcome.gap
     payload = {
         "status": outcome.status.value,
@@ -118,6 +125,18 @@ CSV_FIELDS = ["instance", "problem", "config", "status", "objective",
               "bound", "gap", "explored", "seconds"]
 
 
+def _bench_row(job, width, timeout, no_time) -> list:
+    """The CSV cells of one (instance, config) row, in any process."""
+    problem_name, rel_path, path, name = job
+    use_rub, use_locb = CONFIGS[name]
+    outcome, objective, bound = _solve_one(problem_name, path, width, use_rub,
+                                           use_locb, timeout)
+    seconds = "0.000" if no_time else f"{outcome.duration:.3f}"
+    return [rel_path, problem_name, name, outcome.status.value,
+            _fmt(objective), _fmt(bound), repr(outcome.gap), outcome.explored,
+            seconds]
+
+
 def cmd_bench(args) -> int:
     manifest_path = Path(args.manifest)
     if not manifest_path.is_file():
@@ -129,10 +148,7 @@ def cmd_bench(args) -> int:
         if name not in CONFIGS:
             print(f"error: unknown config {name!r}", file=sys.stderr)
             return 1
-    out = open(args.output, "w", newline="") if args.output else sys.stdout
-    writer = csv.writer(out)
-    writer.writerow(CSV_FIELDS)
-    missing = []
+    jobs, missing = [], []
     for problem_name, rel_path in entries:
         path = Path(rel_path)
         if not path.is_absolute():
@@ -140,18 +156,30 @@ def cmd_bench(args) -> int:
         if problem_name not in LOADERS or not path.is_file():
             missing.append(rel_path)
             continue
-        for name in config_names:
-            use_rub, use_locb = CONFIGS[name]
-            outcome, objective, bound = _solve_one(
-                problem_name, path, args.width, use_rub, use_locb,
-                args.timeout, args.threads)
-            seconds = "0.000" if args.no_time else f"{outcome.duration:.3f}"
-            writer.writerow([rel_path, problem_name, name,
-                             outcome.status.value, _fmt(objective),
-                             _fmt(bound), repr(outcome.gap), outcome.explored,
-                             seconds])
-    if args.output:
-        out.close()
+        jobs.extend((problem_name, rel_path, path, name)
+                    for name in config_names)
+    row = functools.partial(_bench_row, width=args.width,
+                            timeout=args.timeout, no_time=args.no_time)
+    processes = min(args.threads, len(jobs))
+    with contextlib.ExitStack() as stack:
+        out = (stack.enter_context(open(args.output, "w", newline=""))
+               if args.output else sys.stdout)
+        if processes > 1:
+            # imported here so that `import ddbnb.cli` stays light
+            import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
+            pool = ProcessPoolExecutor(
+                processes, mp_context=multiprocessing.get_context("spawn"))
+            # on any exit, an error included, rows not yet started are
+            # dropped instead of solved
+            stack.callback(pool.shutdown, cancel_futures=True)
+            # map() yields rows in manifest order at any process count
+            rows = pool.map(row, jobs)
+        else:
+            rows = map(row, jobs)
+        writer = csv.writer(out)
+        writer.writerow(CSV_FIELDS)
+        writer.writerows(rows)
     for rel_path in missing:
         print(f"warning: skipped missing instance {rel_path}", file=sys.stderr)
     return 0
@@ -173,7 +201,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--locb", type=_onoff, default=True,
                          help="local-bound pruning of subproblems")
     p_solve.add_argument("--timeout", type=float, default=1800.0)
-    p_solve.add_argument("--threads", type=int, default=1)
     p_solve.add_argument("--json", action="store_true")
     p_solve.add_argument("--dot", metavar="FILE",
                          help="dump a root relaxed diagram in DOT form")
@@ -192,7 +219,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--configs", default="none,rub,locb,rub+locb")
     p_bench.add_argument("--width", type=int, default=None)
     p_bench.add_argument("--timeout", type=float, default=1800.0)
-    p_bench.add_argument("--threads", type=int, default=1)
+    p_bench.add_argument("--threads", type=_positive, default=1,
+                         help="solve rows in this many worker processes")
     p_bench.add_argument("-o", "--output", default=None)
     p_bench.add_argument("--no-time", action="store_true",
                          help="zero the seconds column for reproducible output")

@@ -62,6 +62,12 @@ class ParseError(ValueError):
     def __init__(self, lineno: int, message: str):
         super().__init__(f"line {lineno}: {message}")
         self.lineno = lineno
+        self.message = message
+
+    def __reduce__(self):
+        # rebuilt from the constructor's arguments, not from `args`, so the
+        # error survives the trip back from a `bench --threads` worker
+        return type(self), (self.lineno, self.message)
 
 
 # ---------------------------------------------------------------------------

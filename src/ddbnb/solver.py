@@ -1,6 +1,6 @@
 """Branch-and-bound driver over restricted/relaxed decision diagrams.
 
-Open subproblems live on a shared best-first fringe ordered by upper bound,
+Open subproblems live on a best-first fringe ordered by upper bound,
 then by value-from-root, then first-in first-out.  Exploring a subproblem
 compiles a restricted diagram (a feasible-solutions sample that may improve
 the incumbent) and, when that diagram had to drop nodes, a relaxed diagram
@@ -18,16 +18,16 @@ Two optional filters sharpen this loop:
     since the incumbent may have grown while it waited.
 
 Neither filter changes the returned optimum, only how much work finding it
-takes.  With `workers > 1` the fringe and incumbent are shared under one
-lock; results stay exact but pop order, and therefore explored counts, may
-vary between runs.  Single-worker runs are fully deterministic.
+takes.  A solve is one sequential loop on the calling thread, so a solve
+that ends within its timeout is fully deterministic: the same instance and
+config give the same value, assignment and counts.  Batches parallelise
+across solves instead (`ddbnb bench --threads`).
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-import threading
 import time
 from dataclasses import dataclass
 from enum import Enum
@@ -50,13 +50,19 @@ class SolveConfig:
     use_rub: bool = True
     use_locb: bool = True
     timeout: Optional[float] = None  # seconds, checked before each layer
+    # must be 1: a solve runs on one thread; the field stays only because
+    # the benchmark harness (perfbench/run.py) still passes workers=1
     workers: int = 1
-    # test/diagnostic hooks, called in-line by the exploring worker; the
+    # test/diagnostic hooks, called in-line by the search loop; the
     # observer also receives the incumbent the compilation filtered against
     # (NEG_INF when rough-bound filtering was off)
     dd_observer: Optional[Callable[[str, DecisionDiagram, SubProblem, float],
                                    None]] = None
     iteration_hook: Optional[Callable[[float, float], None]] = None
+
+    def __post_init__(self):
+        if self.workers != 1:
+            raise ValueError(f"workers must be 1, got {self.workers}")
 
 
 @dataclass
@@ -120,7 +126,7 @@ class Fringe:
 
 
 class _Search:
-    """Shared state of one solve call; workers drain the fringe together."""
+    """State of one solve call: the fringe, the incumbent and the counters."""
 
     def __init__(self, problem: Problem, relaxation: Relaxation,
                  config: SolveConfig):
@@ -128,123 +134,87 @@ class _Search:
         self.relaxation = relaxation
         self.config = config
         self.fringe = Fringe()
-        self.cond = threading.Condition()
         self.incumbent = NEG_INF
         self.assignment: Optional[list] = None
         self.explored = 0
         self.dd_nodes = 0
-        self.busy = 0
         self.timed_out = False
         self.deadline = (time.monotonic() + config.timeout
                          if config.timeout is not None else None)
 
-    def improve(self, value, assignment) -> None:
-        # caller holds the lock; keep-max so late workers cannot regress it
-        if value > self.incumbent:
-            self.incumbent = value
-            self.assignment = assignment
+    def improve(self, sub: SubProblem, solution) -> None:
+        if solution and solution[0] > self.incumbent:
+            self.incumbent = solution[0]
+            self.assignment = list(sub.path) + solution[1]
 
-    def subproblem_width(self, sub: SubProblem) -> int:
-        if self.config.width is not None:
-            return max(1, self.config.width)
-        return max(1, self.problem.n - len(sub.path))
+    def compile(self, sub: SubProblem, kind: DiagramKind, width: int):
+        cfg = self.config
+        dd = compile_diagram(self.problem, self.relaxation, sub, kind, width,
+                             self.incumbent, cfg.use_rub,
+                             deadline=self.deadline)
+        self.dd_nodes += dd.nodes_created
+        if cfg.dd_observer:
+            cfg.dd_observer(kind.value, dd, sub,
+                            self.incumbent if cfg.use_rub else NEG_INF)
+        return dd
 
-    def explore(self, sub: SubProblem, incumbent) -> tuple:
-        """Expand one subproblem; returns (solution, children, nodes_created).
+    def explore(self, sub: SubProblem) -> None:
+        """Expand one subproblem: record what it solves, enqueue its branches.
 
-        Runs outside the lock with a snapshot of the incumbent; a stale
-        (smaller) snapshot only weakens the filtering, never correctness.
+        Each diagram's nodes and best path are recorded as soon as it is
+        compiled, so a deadline that cuts the relaxed compilation keeps what
+        the restricted one found.
         """
         cfg = self.config
-        width = self.subproblem_width(sub)
-        restricted = compile_diagram(self.problem, self.relaxation, sub,
-                                     DiagramKind.RESTRICTED, width,
-                                     incumbent, cfg.use_rub,
-                                     deadline=self.deadline)
-        nodes = restricted.nodes_created
-        if cfg.dd_observer:
-            cfg.dd_observer("restricted", restricted, sub,
-                            incumbent if cfg.use_rub else NEG_INF)
-        solution = best_solution(restricted)
-        children: List[SubProblem] = []
-        if not restricted.is_exact:
-            if solution and solution[0] > incumbent:
-                incumbent = solution[0]
-            relaxed = compile_diagram(self.problem, self.relaxation, sub,
-                                      DiagramKind.RELAXED, width,
-                                      incumbent, cfg.use_rub,
-                                      deadline=self.deadline)
-            nodes += relaxed.nodes_created
-            if relaxed.is_exact:
-                # the rough-bound filter kept every layer within the width
-                # limit, so this diagram holds every completion that can beat
-                # the incumbent and its best path is a feasible solution
-                exact_sol = best_solution(relaxed)
-                if exact_sol and (solution is None or exact_sol[0] > solution[0]):
-                    solution = exact_sol
-            elif relaxed.value > incumbent:
-                if cfg.use_locb:
-                    compute_local_bounds(relaxed)
-                children = exact_cutset(relaxed, use_local_bounds=cfg.use_locb)
-                for child in children:
-                    # inherit the parent's bound when it is tighter, so the
-                    # global bound can only shrink
-                    if sub.ub < child.ub:
-                        child.ub = sub.ub
-                    child.path = sub.path + child.path
-            if cfg.dd_observer:
-                cfg.dd_observer("relaxed", relaxed, sub,
-                                incumbent if cfg.use_rub else NEG_INF)
-        return solution, children, nodes
+        width = max(1, self.problem.n - len(sub.path) if cfg.width is None
+                    else cfg.width)
+        restricted = self.compile(sub, DiagramKind.RESTRICTED, width)
+        self.improve(sub, best_solution(restricted))
+        if restricted.is_exact:
+            return
+        relaxed = self.compile(sub, DiagramKind.RELAXED, width)
+        if relaxed.is_exact:
+            # the rough-bound filter kept every layer within the width limit,
+            # so this diagram holds every completion that can beat the
+            # incumbent and its best path is a feasible solution
+            self.improve(sub, best_solution(relaxed))
+            return
+        if relaxed.value <= self.incumbent:
+            return
+        if cfg.use_locb:
+            compute_local_bounds(relaxed)
+        for child in exact_cutset(relaxed, use_local_bounds=cfg.use_locb):
+            # inherit the parent's bound when it is tighter, so the global
+            # bound can only shrink
+            if sub.ub < child.ub:
+                child.ub = sub.ub
+            if cfg.use_locb and child.ub <= self.incumbent:
+                continue
+            child.path = sub.path + child.path
+            self.fringe.push(child)
 
-    def worker(self) -> None:
+    def run(self) -> None:
         cfg = self.config
-        while True:
-            with self.cond:
-                while not self.fringe and self.busy and not self.timed_out:
-                    self.cond.wait(0.05)
-                if self.timed_out or not self.fringe:
-                    break
-                if self.deadline is not None and time.monotonic() > self.deadline:
-                    self.timed_out = True
-                    self.cond.notify_all()
-                    break
-                sub = self.fringe.pop()
-                self.explored += 1
-                if cfg.iteration_hook:
-                    cfg.iteration_hook(self.incumbent,
-                                       max(self.incumbent, sub.ub,
-                                           self.fringe.max_ub()))
-                if cfg.use_locb and sub.ub <= self.incumbent:
-                    continue
-                incumbent = self.incumbent
-                self.busy += 1
+        fringe = self.fringe
+        while fringe:
+            if self.deadline is not None and time.monotonic() > self.deadline:
+                self.timed_out = True
+                return
+            sub = fringe.pop()
+            self.explored += 1
+            if cfg.iteration_hook:
+                cfg.iteration_hook(self.incumbent,
+                                   max(self.incumbent, sub.ub, fringe.max_ub()))
+            if cfg.use_locb and sub.ub <= self.incumbent:
+                continue
             try:
-                solution, children, nodes = self.explore(sub, incumbent)
+                self.explore(sub)
             except TimeoutError:
                 # the deadline passed mid-compilation: hand the subproblem
                 # back so the reported bound still covers it
-                with self.cond:
-                    self.busy -= 1
-                    self.fringe.push(sub)
-                    self.timed_out = True
-                    self.cond.notify_all()
-                break
-            except BaseException:
-                with self.cond:
-                    self.busy -= 1
-                    self.cond.notify_all()
-                raise
-            with self.cond:
-                self.busy -= 1
-                self.dd_nodes += nodes
-                if solution and solution[0] > self.incumbent:
-                    self.improve(solution[0], list(sub.path) + solution[1])
-                for child in children:
-                    if cfg.use_locb and child.ub <= self.incumbent:
-                        continue
-                    self.fringe.push(child)
-                self.cond.notify_all()
+                fringe.push(sub)
+                self.timed_out = True
+                return
 
 
 def solve(problem: Problem, relaxation: Relaxation,
@@ -255,15 +225,7 @@ def solve(problem: Problem, relaxation: Relaxation,
     started = time.monotonic()
     search.fringe.push(SubProblem(problem.initial_state, problem.initial_value,
                                   (), POS_INF))
-    if cfg.workers <= 1:
-        search.worker()
-    else:
-        threads = [threading.Thread(target=search.worker, daemon=True)
-                   for _ in range(cfg.workers)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
+    search.run()
     duration = time.monotonic() - started
 
     if search.timed_out:

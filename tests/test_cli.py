@@ -165,6 +165,29 @@ def test_bench_skips_missing_instances(manifest, tmp_path, capsys):
     assert len(out_csv.read_text().splitlines()) == 1 + 2 * 4
 
 
+def test_threads_is_a_positive_bench_option(manifest, misp_file, capsys):
+    code, _, err = run_cli("bench", str(manifest), "--threads", "0",
+                           capsys=capsys)
+    assert code == 1
+    assert ">= 1" in err
+    code, _, _ = run_cli("solve", "misp", str(misp_file), "--threads", "2",
+                         capsys=capsys)
+    assert code == 1
+
+
+def test_pooled_bench_reports_a_malformed_instance(manifest, capfd):
+    # the worker's ParseError reaches the parent intact: one error line, no
+    # traceback from the parent or from a worker process
+    (manifest.parent / "broken.gr").write_text("p edge 2 1\ne 1 5 3\n")
+    manifest.write_text(manifest.read_text() + "misp broken.gr\n")
+    code = main(["bench", str(manifest), "--threads", "2", "--no-time",
+                 "-o", str(manifest.parent / "out.csv")])
+    _, err = capfd.readouterr()
+    assert code == 1
+    assert "error: line 2: edge endpoints out of range" in err
+    assert "Traceback" not in err
+
+
 def test_console_entry_point_runs():
     proc = subprocess.run([sys.executable, "-m", "ddbnb.cli", "--help"],
                           capture_output=True, text=True)

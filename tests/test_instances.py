@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import pytest
 
@@ -31,6 +32,16 @@ def test_parse_graph_duplicate_edge():
 def test_parse_graph_reports_line_number():
     with pytest.raises(io.ParseError, match="line 3"):
         io.parse_graph("p edge 2 1\nc fine\ne 1 5 3\n")
+
+
+def test_parse_error_survives_pickling():
+    # bench worker processes send errors back to the parent pickled
+    with pytest.raises(io.ParseError) as info:
+        io.parse_graph("p edge 2 1\ne 1 5 3\n")
+    copy = pickle.loads(pickle.dumps(info.value))
+    assert type(copy) is io.ParseError
+    assert str(copy) == str(info.value) == "line 2: edge endpoints out of range"
+    assert copy.lineno == 2
 
 
 def test_parse_wcnf_tautology_and_unit():

@@ -3,8 +3,10 @@ import time
 import pytest
 
 from ddbnb import (Fringe, NEG_INF, POS_INF, SolveConfig, Status, SubProblem,
-                   brute_force_optimum, end_gap, solve)
+                   best_solution, brute_force_optimum, end_gap,
+                   evaluate_assignment, solve)
 from ddbnb import instances as io
+from ddbnb.cli import main as cli_main
 from ddbnb.problems import tsptw
 from ddbnb.solver import _Search
 
@@ -118,7 +120,7 @@ def test_locb_skips_hopeless_pops():
     search = _Search(problem, relaxation, SolveConfig(use_locb=True))
     search.incumbent = 110
     search.fringe.push(SubProblem(problem.initial_state, 0, (), 102))
-    search.worker()
+    search.run()
     assert search.explored == 1
     assert search.dd_nodes == 0
 
@@ -180,10 +182,56 @@ def test_minimization_gap_is_sign_corrected_on_timeout():
     assert out.gap == end_gap(-out.bound, -out.value)
 
 
-def test_workers_agree_with_single_thread():
-    for seed in range(3):
-        _, problem, relaxation = make_problem("max2sat", seed, 7)
-        lone = solve(problem, relaxation, SolveConfig(width=3, workers=1))
-        crowd = solve(problem, relaxation, SolveConfig(width=3, workers=4))
-        assert crowd.status is Status.OPTIMAL
-        assert crowd.value == lone.value
+def test_deadline_in_relaxed_compile_keeps_the_restricted_solution():
+    # the observer outlasts the deadline after the root's restricted compile,
+    # so the relaxed compile stops at its first layer check; the restricted
+    # diagram's nodes and best path still count
+    _, problem, relaxation = make_problem("mcp", 0, 20)
+    restricted = []
+
+    def observer(kind, dd, sub, incumbent):
+        if kind == "restricted":
+            restricted.append(dd)
+            time.sleep(0.25)
+
+    out = solve(problem, relaxation,
+                SolveConfig(timeout=0.2, dd_observer=observer))
+    assert out.status is Status.TIMEOUT
+    assert len(restricted) == 1 and not restricted[0].is_exact
+    assert out.value > NEG_INF
+    assert out.value == best_solution(restricted[0])[0]
+    assert evaluate_assignment(problem, out.assignment) == out.value
+    assert out.dd_nodes == restricted[0].nodes_created
+    assert out.bound >= out.value
+
+
+def test_workers_must_be_one():
+    # a solve is one loop on one thread; parallelism lives in `bench --threads`
+    assert SolveConfig(workers=1).workers == 1
+    for workers in (0, 2, 4):
+        with pytest.raises(ValueError, match="workers"):
+            SolveConfig(workers=workers)
+
+
+def test_workers_agree_with_single_thread(tmp_path):
+    # `bench --threads 2` solves rows in worker processes; the rows come back
+    # in manifest order, so the timeless CSV is the single-process one
+    lines = []
+    # sizes at which the unpruned config branches on every problem
+    for name, n, seed in (("misp", 40, 0), ("mcp", 12, 2), ("max2sat", 10, 0),
+                          ("tsptw", 12, 0)):
+        instance, _, _ = make_problem(name, seed, n)
+        emit = {"misp": io.emit_graph, "mcp": io.emit_graph,
+                "max2sat": io.emit_wcnf, "tsptw": io.emit_tsptw}[name]
+        (tmp_path / f"{name}.txt").write_text(emit(instance))
+        lines.append(f"{name} {name}.txt\n")
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text("".join(lines))
+    csvs = []
+    for threads in (1, 2):
+        out = tmp_path / f"threads-{threads}.csv"
+        assert cli_main(["bench", str(manifest), "--no-time",
+                         "--threads", str(threads), "-o", str(out)]) == 0
+        csvs.append(out.read_bytes())
+    assert csvs[0] == csvs[1]
+    assert len(csvs[0].splitlines()) == 1 + 4 * 4  # four problems, configs
