@@ -18,7 +18,7 @@ from . import instances
 from .mdd import DiagramKind, SubProblem, compile_diagram, to_dot
 from .model import NEG_INF, POS_INF
 from .problems import max2sat, mcp, misp, tsptw
-from .solver import SolveConfig, Status, solve
+from .solver import SolveConfig, Status, diagram_width, solve
 
 LOADERS = {
     "misp": misp.load,
@@ -83,10 +83,10 @@ def cmd_solve(args) -> int:
         return 1
     if args.dot:
         problem, relaxation = LOADERS[args.problem](path.read_text())
-        width = args.width or max(1, problem.n)
         root = SubProblem(problem.initial_state, problem.initial_value)
         dd = compile_diagram(problem, relaxation, root, DiagramKind.RELAXED,
-                             width)
+                             diagram_width(problem, root, args.width),
+                             rank_by_bound=problem.rank_by_bound)
         Path(args.dot).write_text(to_dot(dd))
     outcome, objective, bound = _solve_one(
         args.problem, path, args.width, args.rub, args.locb, args.timeout)
@@ -194,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve = commands.add_parser("solve", help="solve one instance")
     p_solve.add_argument("problem", choices=sorted(LOADERS))
     p_solve.add_argument("file")
-    p_solve.add_argument("--width", type=int, default=None,
+    p_solve.add_argument("--width", type=_positive, default=None,
                          help="layer width (default: unfixed variable count)")
     p_solve.add_argument("--rub", type=_onoff, default=True,
                          help="rough-bound filtering during compilation")
@@ -217,7 +217,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench = commands.add_parser("bench", help="run a manifest of instances")
     p_bench.add_argument("manifest")
     p_bench.add_argument("--configs", default="none,rub,locb,rub+locb")
-    p_bench.add_argument("--width", type=int, default=None)
+    p_bench.add_argument("--width", type=_positive, default=None,
+                         help="layer width (default: unfixed variable count)")
     p_bench.add_argument("--timeout", type=float, default=1800.0)
     p_bench.add_argument("--threads", type=_positive, default=1,
                          help="solve rows in this many worker processes")

@@ -4,10 +4,13 @@ A diagram unrolls the transition system of a subproblem layer by layer.
 Nodes within a layer are deduplicated by state, keeping the best
 value-from-root and its incoming arc.  When a layer of a width-bounded
 diagram grows past the width limit it is squeezed: a restricted diagram
-simply drops the nodes with the smallest value-from-root, a relaxed diagram
-keeps the best `width - 1` of them and folds the rest into a single merged
-node through the problem's merge/relax operators.  Ranking ties break on
-insertion order so compilation is fully deterministic.
+simply drops its lowest-ranked nodes, a relaxed diagram keeps the best
+`width - 1` of them and folds the rest into a single merged node through the
+problem's merge/relax operators.  Nodes rank by value-from-root (the
+longest-path ranking of Bergman et al.), or, with `rank_by_bound`, by
+`(rough_bound, value-from-root)`, the bound computed once per node of the
+oversized layer.  Ranking ties break on insertion order so compilation is
+fully deterministic.
 
 A node is exact while every path into it is a path of the exact diagram.
 Only a relaxed squeeze makes nodes inexact, and each one leaves a merged node
@@ -75,30 +78,40 @@ class DecisionDiagram:
         return self.best_terminal.value_top if self.best_terminal else NEG_INF
 
 
-def _split(nodes: Sequence[Node], count: int) -> Tuple[List[Node], List[Node]]:
-    """(the `count` nodes with the largest value-from-root, the others), both
-    in insertion order; of the nodes tied at the cut, the earlier are kept."""
-    ranked = sorted([node.value_top for node in nodes], reverse=True)[:count]
-    cut = ranked[-1] if ranked else POS_INF
-    ties = ranked.count(cut)            # kept nodes valued exactly `cut`
+def _split(nodes: Sequence[Node], count: int,
+           keys: Optional[Sequence] = None) -> Tuple[List[Node], List[Node]]:
+    """(the `count` nodes with the largest keys, the others), both in
+    insertion order; of the nodes tied at the cut, the earlier are kept.
+
+    `keys` parallels `nodes` and defaults to their values-from-root.
+    """
+    if count < 1:
+        return [], list(nodes)
+    if keys is None:
+        keys = [node.value_top for node in nodes]
+    ranked = sorted(keys, reverse=True)[:count]
+    cut = ranked[-1]
+    ties = ranked.count(cut)            # kept nodes keyed exactly `cut`
     kept, rest = [], []
-    for node in nodes:
-        value = node.value_top
-        if value > cut or value == cut and ties:
-            ties -= value == cut
+    for node, key in zip(nodes, keys):
+        if key > cut or key == cut and ties:
+            ties -= key == cut
             kept.append(node)
         else:
             rest.append(node)
     return kept, rest
 
 
-def restrict_layer(nodes: List[Node], width: int) -> List[Node]:
-    """Keep the `width` nodes with the largest value-from-root."""
-    return _split(nodes, width)[0] if len(nodes) > width else nodes
+def restrict_layer(nodes: List[Node], width: int,
+                   keys: Optional[Sequence] = None) -> List[Node]:
+    """Keep the `width` best-ranked nodes (see `_split` for `keys`)."""
+    return _split(nodes, width, keys)[0] if len(nodes) > width else nodes
 
 
-def relax_layer(nodes: List[Node], width: int, relaxation: Relaxation) -> List[Node]:
-    """Merge all nodes ranked below the best `width - 1` into a single node.
+def relax_layer(nodes: List[Node], width: int, relaxation: Relaxation,
+                keys: Optional[Sequence] = None) -> List[Node]:
+    """Merge all nodes ranked below the best `width - 1` into a single node
+    (see `_split` for `keys`).
 
     The merged state may collide with a kept node's state; the redirected
     arcs then fold into that node and poison its exactness.  A layer of
@@ -107,7 +120,7 @@ def relax_layer(nodes: List[Node], width: int, relaxation: Relaxation) -> List[N
     """
     if len(nodes) < width:
         return nodes
-    kept, selected = _split(nodes, width - 1)
+    kept, selected = _split(nodes, width - 1, keys)
     merged_state = relaxation.merge([node.state for node in selected])
 
     target = next((node for node in kept if node.state == merged_state), None)
@@ -131,7 +144,8 @@ def compile_diagram(problem: Problem, relaxation: Optional[Relaxation],
                     sub: SubProblem, kind: DiagramKind, width: int = 0,
                     incumbent=NEG_INF, use_rub: bool = False,
                     keep_arcs: Optional[bool] = None,
-                    deadline: Optional[float] = None) -> DecisionDiagram:
+                    deadline: Optional[float] = None,
+                    rank_by_bound: bool = False) -> DecisionDiagram:
     """Unroll the subproblem rooted at `sub.state` into a decision diagram.
 
     `width` bounds every layer below the root for restricted/relaxed kinds
@@ -139,7 +153,8 @@ def compile_diagram(problem: Problem, relaxation: Optional[Relaxation],
     before-insertion completion-bound filter.  `keep_arcs` forces full
     inbound arc lists (on by default for relaxed diagrams, which need them
     for the bottom-up bound pass and for merging).  `deadline` is a
-    `time.monotonic()` reading.
+    `time.monotonic()` reading.  `rank_by_bound` ranks the nodes of an
+    oversized layer by `(rough_bound, value_top)` instead of by `value_top`.
     """
     if kind is not DiagramKind.EXACT and width < 1:
         raise ValueError("width-bounded compilation needs width >= 1")
@@ -187,10 +202,12 @@ def compile_diagram(problem: Problem, relaxation: Optional[Relaxation],
         layer = list(by_state.values())
         dd.nodes_created += len(layer)
         if kind is not DiagramKind.EXACT and len(layer) > width:
+            keys = ([(rough_bound(nd.state, nd.value_top, k + 1), nd.value_top)
+                     for nd in layer] if rank_by_bound else None)
             if kind is DiagramKind.RESTRICTED:
-                layer = restrict_layer(layer, width)
+                layer = restrict_layer(layer, width, keys)
             else:
-                layer = relax_layer(layer, width, relaxation)
+                layer = relax_layer(layer, width, relaxation, keys)
                 if len(layer) == width:
                     # width - 1 kept plus a fresh merge node; a collision
                     # folds into a kept node instead and creates nothing

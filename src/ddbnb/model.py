@@ -43,12 +43,18 @@ class Problem(ABC):
       initial_value  -- value of the empty prefix (added to every total)
       negated        -- True when the plugin encodes a minimization problem
                         with negated costs (reports must be sign-corrected)
+      rank_by_bound  -- True when the squeezes of the solver's diagrams rank
+                        a layer's nodes by `(rough_bound, value_top)`; False
+                        keeps the longest-path ranking by `value_top`.  Set
+                        it where `rough_bound` separates the nodes of a layer
+                        better than their prefix values do.
     """
 
     n: int
     initial_state: State
     initial_value: int = 0
     negated: bool = False
+    rank_by_bound: bool = False
 
     @abstractmethod
     def domain(self, state: State, k: int) -> Iterable:

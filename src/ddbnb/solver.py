@@ -6,7 +6,11 @@ compiles a restricted diagram (a feasible-solutions sample that may improve
 the incumbent) and, when that diagram had to drop nodes, a relaxed diagram
 whose value bounds the subproblem from above.  If the bound still beats the
 incumbent, the relaxed diagram's last exact layer is enqueued as new
-subproblems.
+subproblems.  When that layer is the subproblem's own root (the layer below
+it already overflowed the width), the root's successors are enqueued
+instead, so every branching fixes at least one more variable and the search
+terminates at any width.  The diagrams' squeezes rank nodes as the model's
+`rank_by_bound` says.
 
 Two optional filters sharpen this loop:
 
@@ -131,6 +135,7 @@ class _Search:
     def __init__(self, problem: Problem, relaxation: Relaxation,
                  config: SolveConfig):
         self.problem = problem
+        self.rank_by_bound = problem.rank_by_bound
         self.relaxation = relaxation
         self.config = config
         self.fringe = Fringe()
@@ -151,7 +156,8 @@ class _Search:
         cfg = self.config
         dd = compile_diagram(self.problem, self.relaxation, sub, kind, width,
                              self.incumbent, cfg.use_rub,
-                             deadline=self.deadline)
+                             deadline=self.deadline,
+                             rank_by_bound=self.rank_by_bound)
         self.dd_nodes += dd.nodes_created
         if cfg.dd_observer:
             cfg.dd_observer(kind.value, dd, sub,
@@ -166,8 +172,7 @@ class _Search:
         the restricted one found.
         """
         cfg = self.config
-        width = max(1, self.problem.n - len(sub.path) if cfg.width is None
-                    else cfg.width)
+        width = diagram_width(self.problem, sub, cfg.width)
         restricted = self.compile(sub, DiagramKind.RESTRICTED, width)
         self.improve(sub, best_solution(restricted))
         if restricted.is_exact:
@@ -181,9 +186,14 @@ class _Search:
             return
         if relaxed.value <= self.incumbent:
             return
-        if cfg.use_locb:
-            compute_local_bounds(relaxed)
-        for child in exact_cutset(relaxed, use_local_bounds=cfg.use_locb):
+        if relaxed.last_exact_layer == relaxed.first_layer:
+            # the cutset would be this subproblem again
+            children = self.root_branches(sub, relaxed.value)
+        else:
+            if cfg.use_locb:
+                compute_local_bounds(relaxed)
+            children = exact_cutset(relaxed, use_local_bounds=cfg.use_locb)
+        for child in children:
             # inherit the parent's bound when it is tighter, so the global
             # bound can only shrink
             if sub.ub < child.ub:
@@ -192,6 +202,21 @@ class _Search:
                 continue
             child.path = sub.path + child.path
             self.fringe.push(child)
+
+    def root_branches(self, sub: SubProblem, ub) -> List[SubProblem]:
+        """One subproblem per feasible decision out of `sub`'s root, each
+        bounded by `ub` and filtered by RUB like a compiled arc."""
+        k = len(sub.path)
+        rough_bound = self.problem.rough_bound
+        use_rub = self.config.use_rub
+        children = []
+        for value, state, weight in self.problem.successors(sub.state, k):
+            candidate = sub.value_top + weight
+            if use_rub and not rough_bound(state, candidate,
+                                           k + 1) > self.incumbent:
+                continue
+            children.append(SubProblem(state, candidate, (value,), ub))
+        return children
 
     def run(self) -> None:
         cfg = self.config
@@ -215,6 +240,13 @@ class _Search:
                 fringe.push(sub)
                 self.timed_out = True
                 return
+
+
+def diagram_width(problem: Problem, sub: SubProblem,
+                  width: Optional[int]) -> int:
+    """Layer width of the diagrams compiled for `sub`: `width`, by default
+    the number of unfixed variables, and at least 1."""
+    return max(1, problem.n - len(sub.path) if width is None else width)
 
 
 def solve(problem: Problem, relaxation: Relaxation,

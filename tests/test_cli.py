@@ -165,6 +165,16 @@ def test_bench_skips_missing_instances(manifest, tmp_path, capsys):
     assert len(out_csv.read_text().splitlines()) == 1 + 2 * 4
 
 
+def test_width_must_be_positive(manifest, misp_file, capsys):
+    # width 0 used to run as width 1 until the timeout
+    for width in ("0", "-1"):
+        for argv in (("solve", "misp", str(misp_file)),
+                     ("bench", str(manifest))):
+            code, _, err = run_cli(*argv, "--width", width, "--timeout", "5",
+                                   capsys=capsys)
+            assert code == 1 and ">= 1" in err
+
+
 def test_threads_is_a_positive_bench_option(manifest, misp_file, capsys):
     code, _, err = run_cli("bench", str(manifest), "--threads", "0",
                            capsys=capsys)

@@ -113,8 +113,10 @@ def test_relaxed_dominates_at_every_width(width):
     for seed in range(6):
         _, problem, relaxation = make_problem("mcp", seed, 8)
         best, _ = brute_force_optimum(problem)
-        dd = compile_diagram(problem, relaxation,
-                             SubProblem(problem.initial_state,
-                                        problem.initial_value),
-                             DiagramKind.RELAXED, width)
-        assert dd.value >= best
+        for rank_by_bound in (False, True):
+            dd = compile_diagram(problem, relaxation,
+                                 SubProblem(problem.initial_state,
+                                            problem.initial_value),
+                                 DiagramKind.RELAXED, width,
+                                 rank_by_bound=rank_by_bound)
+            assert dd.value >= best, rank_by_bound

@@ -149,24 +149,41 @@ def test_relax_breaks_ties_by_insertion():
         assert squeezed[-1].value_top == 5
 
 
-def test_squeezes_match_the_sorted_ranking():
-    # reference: indices by value descending, insertion order on ties
-    rng = random.Random(3)
+def check_squeezes_against_sorted_ranking(seed, key_of):
+    """Both squeezes against a reference ranking (indices by key descending,
+    insertion order on ties) on 200 random layers with ties, at every width;
+    `key_of(rng, value)` draws a node's key, None leaves the squeezes on
+    their default value-from-root keys."""
+    rng = random.Random(seed)
     for _ in range(200):
         values = [rng.randrange(4) for _ in range(rng.randrange(1, 9))]
-        ranked = sorted(range(len(values)), key=lambda i: (-values[i], i))
+        keys = None if key_of is None else [key_of(rng, v) for v in values]
+        ranked = sorted(range(len(values)), reverse=True,
+                        key=lambda i: values[i] if keys is None else keys[i])
         for width in range(1, len(values) + 2):
             layer = [Node(state=1 << i, value_top=v, inbound=[])
                      for i, v in enumerate(values)]
-            kept = restrict_layer(layer, width)
+            kept = restrict_layer(layer, width, keys)
             assert kept == [layer[i] for i in sorted(ranked[:width])]
-            squeezed = relax_layer(layer, width, misp.MispRelaxation())
+            squeezed = relax_layer(layer, width, misp.MispRelaxation(), keys)
             if len(layer) < width:
                 assert squeezed is layer
                 continue
             assert squeezed[:-1] == [layer[i]
                                      for i in sorted(ranked[:width - 1])]
             assert not squeezed[-1].exact
+
+
+def test_squeezes_match_the_sorted_ranking():
+    check_squeezes_against_sorted_ranking(3, None)
+
+
+def test_squeezes_match_the_sorted_ranking_by_keys():
+    # (bound, value) keys as bound ranking builds them: the bound need not
+    # follow the value, ties fall to the value and then to insertion order;
+    # width 1 relaxes with no node kept, so no key is compared to a cut
+    check_squeezes_against_sorted_ranking(
+        4, lambda rng, value: (rng.randrange(3), value))
 
 
 # ---------------------------------------------------------------------------

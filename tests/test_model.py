@@ -91,3 +91,13 @@ def test_successors_match_the_reference_triple(name):
                         == list(Problem.successors(problem, node.state, k)))
                 nodes += 1
     assert nodes > count
+
+
+def test_rank_by_bound_is_chosen_per_model():
+    # the completion bound ranks squeezed mcp and max2sat layers well; on
+    # misp and tsptw it explores more than the longest-path ranking
+    ranks = {name: make_problem(name, 0, 4)[1].rank_by_bound
+             for name in ("misp", "mcp", "max2sat", "tsptw")}
+    assert ranks == {"misp": False, "mcp": True, "max2sat": True,
+                     "tsptw": False}
+    assert Problem.rank_by_bound is False

@@ -61,6 +61,29 @@ def test_all_configs_return_the_optimum(name, seed):
 
 
 @pytest.mark.parametrize("name", PROBLEMS)
+def test_every_width_and_ranking_reaches_the_optimum(name):
+    # at widths 1 and 2 the layer below a subproblem's root can overflow, so
+    # the relaxed diagram's cutset is that root; the search then branches on
+    # the root's decisions instead of re-enqueueing it forever
+    for seed in range(3):
+        _, problem, relaxation = make_problem(name, seed, 7)
+        best, _ = brute_force_optimum(problem)
+        for rank_by_bound in (False, True):
+            problem.rank_by_bound = rank_by_bound
+            for width in (1, 2, 3, None):
+                for use_rub, use_locb in ALL_CONFIGS:
+                    out = solve(problem, relaxation,
+                                SolveConfig(width=width, use_rub=use_rub,
+                                            use_locb=use_locb, timeout=10))
+                    case = (seed, rank_by_bound, width, use_rub, use_locb)
+                    assert out.status is Status.OPTIMAL, case
+                    assert out.value == best, case
+                    if best > NEG_INF:
+                        assert evaluate_assignment(problem,
+                                                   out.assignment) == best
+
+
+@pytest.mark.parametrize("name", PROBLEMS)
 def test_returned_assignment_replays_to_value(name):
     from ddbnb import evaluate_assignment
 
