@@ -147,6 +147,21 @@ def _tokenized_lines(text: str):
         yield lineno, line.split()
 
 
+def _integers(lineno: int, tokens, what: str) -> List[int]:
+    try:
+        return [int(t) for t in tokens]
+    except ValueError:
+        raise ParseError(lineno, f"non-integer {what}") from None
+
+
+def _header_sizes(lineno: int, tok) -> Tuple[int, int]:
+    """(N, M) of a 'p <format> N M' header; neither may be negative."""
+    n, m = _integers(lineno, tok[2:], "header fields")
+    if n < 0 or m < 0:
+        raise ParseError(lineno, "header sizes must be non-negative")
+    return n, m
+
+
 def parse_graph(text: str) -> Graph:
     n = None
     m_declared = 0
@@ -161,10 +176,7 @@ def parse_graph(text: str) -> Graph:
                 raise ParseError(lineno, "duplicate header")
             if len(tok) != 4 or tok[1] != "edge":
                 raise ParseError(lineno, "header must be 'p edge N M'")
-            try:
-                n, m_declared = int(tok[2]), int(tok[3])
-            except ValueError:
-                raise ParseError(lineno, "non-integer header fields") from None
+            n, m_declared = _header_sizes(lineno, tok)
             continue
         if n is None:
             raise ParseError(lineno, "missing 'p edge' header")
@@ -214,7 +226,7 @@ def parse_wcnf(text: str) -> CnfFormula:
                 raise ParseError(lineno, "duplicate header")
             if len(tok) != 4 or tok[1] != "wcnf":
                 raise ParseError(lineno, "header must be 'p wcnf N M'")
-            n, m_declared = int(tok[2]), int(tok[3])
+            n, m_declared = _header_sizes(lineno, tok)
             continue
         if n is None:
             raise ParseError(lineno, "missing 'p wcnf' header")
@@ -249,12 +261,14 @@ def parse_tsptw(text: str) -> TsptwInstance:
     lineno, head = lines[0]
     if len(head) != 1:
         raise ParseError(lineno, "first line must be the city count")
-    n = int(head[0])
+    n, = _integers(lineno, head, "city count")
+    if n < 1:
+        raise ParseError(lineno, "an instance needs at least the depot")
     if len(lines) != 1 + 2 * n:
         raise ParseError(lineno, f"expected {1 + 2 * n} lines for n={n}")
     dist = []
     for lineno, tok in lines[1:1 + n]:
-        row = [int(t) for t in tok]
+        row = _integers(lineno, tok, "travel times")
         if len(row) != n:
             raise ParseError(lineno, f"matrix row must have {n} entries")
         if any(d < 0 for d in row):
@@ -264,7 +278,7 @@ def parse_tsptw(text: str) -> TsptwInstance:
     for lineno, tok in lines[1 + n:]:
         if len(tok) != 2:
             raise ParseError(lineno, "window line must be 'EARLIEST LATEST'")
-        e, l = int(tok[0]), int(tok[1])
+        e, l = _integers(lineno, tok, "window bounds")
         if e > l:
             raise ParseError(lineno, "window opens after it closes")
         windows.append((e, l))

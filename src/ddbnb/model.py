@@ -95,6 +95,13 @@ class Problem(ABC):
         be >= the total objective of every feasible completion whose prefix
         value is `value_top`.  The default gives no information; NEG_INF acts
         as a prune sentinel meaning "no feasible completion exists".
+
+        The result must be `value_top` plus a completion estimate that
+        depends only on `(state, k)`, or one of the two sentinels.  The
+        compiler relies on this: it evaluates the hook once per (layer,
+        state) per solve, memoises `rough_bound(state, v, k) - v`, and adds
+        that estimate to the prefix value of every later node with the same
+        layer and state.
         """
         return POS_INF
 

@@ -188,7 +188,9 @@ class Tsptw(Problem):
         total = base + back
         if total > depot_close:
             return NEG_INF
-        return -total
+        # -total, written as value_top plus a completion estimate of the
+        # state alone: arc costs telescope, so value_top == -earliest
+        return value_top + earliest - total
 
 
 class TsptwRelaxation(Relaxation):

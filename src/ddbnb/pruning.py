@@ -16,8 +16,10 @@ all the way up to the root; stopping at the last exact layer is only sound
 because the cutset here always is that whole layer.
 
 The other filter, rough-bound filtering, runs inside `compile_diagram`: a
-candidate node survives only when `Problem.rough_bound` strictly beats the
-incumbent.
+candidate node survives only when its rough bound, value-from-root plus the
+completion estimate of its (layer, state), strictly beats the incumbent.
+`Problem.rough_bound` supplies that estimate and is evaluated once per
+(layer, state) per solve; later tests read it from the solve's memo.
 """
 
 from __future__ import annotations

@@ -10,7 +10,9 @@ subproblems.  When that layer is the subproblem's own root (the layer below
 it already overflowed the width), the root's successors are enqueued
 instead, so every branching fixes at least one more variable and the search
 terminates at any width.  The diagrams' squeezes rank nodes as the model's
-`rank_by_bound` says.
+`rank_by_bound` says.  One completion-estimate memo serves every compile
+and root branching of a solve, so `Problem.rough_bound` is evaluated once
+per (layer, state) per solve.
 
 Two optional filters sharpen this loop:
 
@@ -38,7 +40,8 @@ from enum import Enum
 from typing import Callable, List, Optional
 
 from .mdd import (DecisionDiagram, DiagramKind, SubProblem, best_solution,
-                  compile_diagram, exact_cutset)
+                  bound_memo, compile_diagram, completion_estimate,
+                  exact_cutset)
 from .model import NEG_INF, POS_INF, Problem, Relaxation
 from .pruning import compute_local_bounds
 
@@ -130,7 +133,8 @@ class Fringe:
 
 
 class _Search:
-    """State of one solve call: the fringe, the incumbent and the counters."""
+    """State of one solve call: the fringe, the incumbent, the
+    completion-estimate memo and the counters."""
 
     def __init__(self, problem: Problem, relaxation: Relaxation,
                  config: SolveConfig):
@@ -139,6 +143,9 @@ class _Search:
         self.relaxation = relaxation
         self.config = config
         self.fringe = Fringe()
+        # allocated only when a RUB test or a ranking key will read it
+        self.bounds = (bound_memo(problem)
+                       if config.use_rub or self.rank_by_bound else None)
         self.incumbent = NEG_INF
         self.assignment: Optional[list] = None
         self.explored = 0
@@ -157,7 +164,8 @@ class _Search:
         dd = compile_diagram(self.problem, self.relaxation, sub, kind, width,
                              self.incumbent, cfg.use_rub,
                              deadline=self.deadline,
-                             rank_by_bound=self.rank_by_bound)
+                             rank_by_bound=self.rank_by_bound,
+                             bounds=self.bounds)
         self.dd_nodes += dd.nodes_created
         if cfg.dd_observer:
             cfg.dd_observer(kind.value, dd, sub,
@@ -212,8 +220,9 @@ class _Search:
         children = []
         for value, state, weight in self.problem.successors(sub.state, k):
             candidate = sub.value_top + weight
-            if use_rub and not rough_bound(state, candidate,
-                                           k + 1) > self.incumbent:
+            if use_rub and not candidate + completion_estimate(
+                    self.bounds[k + 1], rough_bound, state, candidate,
+                    k + 1) > self.incumbent:
                 continue
             children.append(SubProblem(state, candidate, (value,), ub))
         return children

@@ -1,9 +1,13 @@
 import math
+import os
 import pickle
+import subprocess
+import sys
 
 import pytest
 
 from ddbnb import instances as io
+from ddbnb.cli import LOADERS
 
 
 def test_parse_graph_k2():
@@ -144,3 +148,118 @@ def test_manifest_parsing():
     assert entries == [("misp", "a.gr"), ("tsptw", "b.tw")]
     with pytest.raises(io.ParseError):
         io.parse_manifest("misp\n")
+
+
+# ---------------------------------------------------------------------------
+# malformed text always ends as a ParseError with a line number
+
+
+@pytest.mark.parametrize("parse,text", [
+    (io.parse_graph, "p edge -3 0\n"),
+    (io.parse_graph, "p edge 3 -1\n"),
+    (io.parse_wcnf, "p wcnf -2 0\n"),
+])
+def test_negative_header_sizes_are_rejected(parse, text):
+    with pytest.raises(io.ParseError, match="line 1: header sizes"):
+        parse(text)
+
+
+def test_tsptw_without_a_depot_is_rejected():
+    with pytest.raises(io.ParseError, match="line 1: .*depot"):
+        io.parse_tsptw("0\n")
+
+
+@pytest.mark.parametrize("parse,text,lineno", [
+    (io.parse_wcnf, "p wcnf x 1\n1 1 0\n", 1),
+    (io.parse_wcnf, "p wcnf 2 1.5\n1 1 0\n", 1),
+    (io.parse_tsptw, "two\n0 7\n7 0\n0 30\n5 20\n", 1),
+    (io.parse_tsptw, "2\n0 7\n7 x\n0 30\n5 20\n", 3),
+    (io.parse_tsptw, "2\n0 7\n7 0\n0 30\n5 2.0\n", 5),
+])
+def test_non_integer_fields_name_their_line(parse, text, lineno):
+    with pytest.raises(io.ParseError, match="non-integer") as info:
+        parse(text)
+    assert info.value.lineno == lineno
+
+
+# Replacement tokens of the fuzz test: every numeric one is small, so no
+# mutation can declare a size the test would have to allocate.
+FUZZ_TOKENS = ("-1", "0", "1", "2", "x", "1.5", "")
+
+
+def mutate(text: str, rng: io.SplitMix64) -> str:
+    """One to three line- or token-level edits of `text`."""
+    lines = text.splitlines()
+    for _ in range(rng.randint(1, 3)):
+        if not lines:
+            break
+        i = rng.randint(0, len(lines) - 1)
+        op = rng.randint(0, 3)
+        if op == 0:
+            del lines[i]
+        elif op == 1:
+            lines.insert(i, lines[i])
+        elif op == 2:
+            j = rng.randint(0, len(lines) - 1)
+            lines[i], lines[j] = lines[j], lines[i]
+        else:
+            tokens = lines[i].split()
+            if tokens:
+                tokens[rng.randint(0, len(tokens) - 1)] = rng.choice(
+                    FUZZ_TOKENS)
+            lines[i] = " ".join(tokens)
+    return "\n".join(lines) + "\n"
+
+
+FUZZ_PROBLEMS = ("misp", "mcp", "max2sat", "tsptw")
+
+
+def fuzzed_texts(problem: str, count: int):
+    rng = io.SplitMix64(2024 + FUZZ_PROBLEMS.index(problem))
+    for i in range(count):
+        text = io.gen_erdos_renyi(problem, 6, 0.5, i % 4)
+        yield mutate(text, rng)
+
+
+@pytest.mark.parametrize("problem", FUZZ_PROBLEMS)
+def test_fuzzed_text_loads_or_raises_parse_error(problem):
+    loaded = rejected = 0
+    for text in fuzzed_texts(problem, 150):
+        try:
+            LOADERS[problem](text)
+        except io.ParseError as exc:
+            assert exc.lineno >= 1
+            rejected += 1
+        else:
+            loaded += 1
+    # the mutations reach both outcomes
+    assert loaded and rejected
+
+
+def test_solve_on_fuzzed_files_never_prints_a_traceback(tmp_path):
+    # the checkout's src/, whatever the working directory
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    for problem in FUZZ_PROBLEMS:
+        # the first mutated text that loads and the first that does not
+        picked = {}
+        for text in fuzzed_texts(problem, 150):
+            try:
+                LOADERS[problem](text)
+            except io.ParseError:
+                picked.setdefault("rejected", text)
+            else:
+                picked.setdefault("loaded", text)
+            if len(picked) == 2:
+                break
+        for outcome, text in picked.items():
+            path = tmp_path / f"{problem}-{outcome}.txt"
+            path.write_text(text)
+            proc = subprocess.run(
+                [sys.executable, "-m", "ddbnb.cli", "solve", problem,
+                 str(path), "--timeout", "5"],
+                capture_output=True, text=True, env=env, timeout=60)
+            assert proc.returncode in ((0, 2) if outcome == "loaded"
+                                       else (1,)), (text, proc.stderr)
+            assert "Traceback" not in proc.stdout + proc.stderr, text

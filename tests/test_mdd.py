@@ -5,6 +5,7 @@ import pytest
 from ddbnb import (DiagramKind, NEG_INF, Node, SubProblem, best_solution,
                    brute_force_optimum, compile_diagram, exact_cutset,
                    relax_layer, restrict_layer, to_dot)
+from ddbnb import mdd
 from ddbnb import instances as io
 from ddbnb.model import Problem
 from ddbnb.problems import mcp, misp
@@ -311,6 +312,47 @@ def test_to_dot_marks_inexact_nodes():
     assert dot.startswith("digraph")
     assert "peripheries=2" in dot
     assert "v=26" in dot
+
+
+def layer_signature(dd):
+    return ([[(node.state, node.value_top, node.exact) for node in layer]
+             for layer in dd.layers], dd.nodes_created)
+
+
+@pytest.mark.parametrize("name", PROBLEMS)
+def test_a_shared_bound_memo_changes_no_layer(name, monkeypatch):
+    # one memo across a sequence of compiles, as the solver keeps it, gives
+    # the layers of fresh per-compile memos with fewer rough_bound calls;
+    # so does a memo whose layers are emptied at a cap of two entries
+    _, problem, relaxation = make_problem(name, 1, 8)
+    best, _ = brute_force_optimum(problem)
+    root = root_of(problem)
+    subs = [root] + exact_cutset(
+        compile_kind(problem, relaxation, DiagramKind.RELAXED, 2),
+        use_local_bounds=False)
+    calls = [0]
+    bound = problem.rough_bound
+
+    def counted(*args):
+        calls[0] += 1
+        return bound(*args)
+
+    problem.rough_bound = counted
+    runs = {}
+    for memo in ("fresh", "shared", "capped"):
+        if memo == "capped":
+            monkeypatch.setattr(mdd, "BOUND_MEMO_ENTRIES", 2 * (problem.n + 1))
+        bounds = None if memo == "fresh" else mdd.bound_memo(problem)
+        calls[0] = 0
+        runs[memo] = [layer_signature(compile_diagram(
+            problem, relaxation, sub, kind, 3, best - 2, True,
+            rank_by_bound=rank, bounds=bounds))
+            for sub in subs
+            for kind in (DiagramKind.RESTRICTED, DiagramKind.RELAXED)
+            for rank in (False, True)], calls[0]
+    assert runs["shared"][0] == runs["fresh"][0] == runs["capped"][0]
+    assert 0 < runs["shared"][1] < runs["capped"][1]
+    assert runs["shared"][1] < runs["fresh"][1]
 
 
 def test_compile_rejects_zero_width():

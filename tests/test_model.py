@@ -101,3 +101,29 @@ def test_rank_by_bound_is_chosen_per_model():
     assert ranks == {"misp": False, "mcp": True, "max2sat": True,
                      "tsptw": False}
     assert Problem.rank_by_bound is False
+
+
+@pytest.mark.parametrize("name", ["misp", "mcp", "max2sat", "tsptw"])
+def test_rough_bound_is_prefix_value_plus_a_state_estimate(name):
+    # the compiler memoises rough_bound(s, v, k) - v per (layer, state), so
+    # on every node of exact, restricted and relaxed diagrams the difference
+    # must not depend on v
+    nodes = 0
+    for seed in range(3):
+        _, problem, relaxation = make_problem(name, seed, 6)
+        root = SubProblem(problem.initial_state, problem.initial_value)
+        for kind, width in ((DiagramKind.EXACT, 0),
+                            (DiagramKind.RESTRICTED, 2),
+                            (DiagramKind.RELAXED, 2),
+                            (DiagramKind.RELAXED, 3)):
+            dd = compile_diagram(problem, relaxation, root, kind, width)
+            for depth, layer in enumerate(dd.layers):
+                k = dd.first_layer + depth
+                for node in layer:
+                    v = node.value_top
+                    for other in (v - 7, v + 3):
+                        assert (problem.rough_bound(node.state, v, k) - v
+                                == problem.rough_bound(node.state, other, k)
+                                - other), (seed, kind, k, node.state)
+                    nodes += 1
+    assert nodes > 50

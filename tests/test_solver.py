@@ -258,3 +258,41 @@ def test_workers_agree_with_single_thread(tmp_path):
         csvs.append(out.read_bytes())
     assert csvs[0] == csvs[1]
     assert len(csvs[0].splitlines()) == 1 + 4 * 4  # four problems, configs
+
+
+def test_bound_memo_only_when_a_rub_test_or_ranking_key_reads_it():
+    for name, use_rub, expected in (("misp", False, False),
+                                    ("misp", True, True),
+                                    ("mcp", False, True),
+                                    ("tsptw", False, False)):
+        _, problem, relaxation = make_problem(name, 0, 5)
+        search = _Search(problem, relaxation, SolveConfig(use_rub=use_rub))
+        assert (search.bounds is not None) is expected, (name, use_rub)
+
+
+@pytest.mark.parametrize("name", PROBLEMS)
+def test_memo_holds_each_states_own_estimate_at_its_layer(name):
+    # after whole solves, root branchings included (at width 1 they fire on
+    # every model but TSPTW, whose diagrams here never need them), every
+    # memo entry is rough_bound(state, v, layer) - v of its own layer
+    branched = 0
+    for seed in range(3):
+        _, problem, relaxation = make_problem(name, seed, 7)
+        for width in (1, 2, None):
+            search = _Search(problem, relaxation, SolveConfig(width=width))
+            root_branches = search.root_branches
+
+            def counted(sub, ub):
+                nonlocal branched
+                branched += 1
+                return root_branches(sub, ub)
+
+            search.root_branches = counted
+            search.fringe.push(SubProblem(problem.initial_state,
+                                          problem.initial_value, (), POS_INF))
+            search.run()
+            for k, estimates in enumerate(search.bounds):
+                for state, rest in estimates.items():
+                    assert rest == problem.rough_bound(state, 5, k) - 5, (
+                        seed, width, k, state)
+    assert branched > 0 or name == "tsptw"

@@ -1,8 +1,8 @@
 import pytest
 
-from ddbnb import (DiagramKind, NEG_INF, SubProblem, best_completion,
-                   best_solution, brute_force_optimum, compile_diagram,
-                   evaluate_assignment)
+from ddbnb import (DiagramKind, NEG_INF, SolveConfig, SubProblem,
+                   best_completion, best_solution, brute_force_optimum,
+                   compile_diagram, evaluate_assignment, solve)
 from ddbnb import instances as io
 from ddbnb.problems import tsptw
 from ddbnb.problems.tsptw import TsptwState
@@ -163,3 +163,25 @@ def test_bound_admissible_and_prune_sound(seed):
             assert bound >= true_best
             if bound == NEG_INF:
                 assert true_best == NEG_INF
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_value_top_is_minus_earliest_on_every_compiled_node(seed):
+    # arc costs telescope to parent.earliest - child.earliest and a merge
+    # keeps the smallest earliest, so the prefix value of every node the
+    # solver compiles is -earliest; that is what makes the completion
+    # estimate earliest - total a function of the state alone
+    _, problem, relaxation = make_problem("tsptw", seed, 8)
+    seen = []
+
+    def check(kind, dd, sub, incumbent):
+        for layer in dd.layers:
+            for node in layer:
+                assert node.value_top == -node.state.earliest, (kind, node)
+                seen.append(kind)
+
+    for width in (2, 3, None):
+        for use_rub in (False, True):
+            solve(problem, relaxation,
+                  SolveConfig(width=width, use_rub=use_rub, dd_observer=check))
+    assert "restricted" in seen and "relaxed" in seen
