@@ -8,20 +8,18 @@ independent set, maximum cut, weighted MAX2SAT and TSPTW models.
 """
 
 from .mdd import (DecisionDiagram, DiagramKind, Node, SubProblem,
-                  best_solution, compile_diagram, exact_cutset, relax_layer,
-                  restrict_layer, to_dot)
+                  best_solution, compile_diagram, compute_local_bounds,
+                  exact_cutset, relax_layer, restrict_layer, to_dot)
 from .model import (NEG_INF, POS_INF, Problem, Relaxation, best_completion,
                     brute_force_optimum, evaluate_assignment, iter_bits)
-from .pruning import compute_local_bounds
 from .solver import (Fringe, Outcome, SolveConfig, Status, end_gap, solve)
 
 __all__ = [
     "DecisionDiagram", "DiagramKind", "Node", "SubProblem",
-    "best_solution", "compile_diagram", "exact_cutset", "relax_layer",
-    "restrict_layer", "to_dot",
+    "best_solution", "compile_diagram", "compute_local_bounds",
+    "exact_cutset", "relax_layer", "restrict_layer", "to_dot",
     "NEG_INF", "POS_INF", "Problem", "Relaxation", "best_completion",
     "brute_force_optimum", "evaluate_assignment", "iter_bits",
-    "compute_local_bounds",
     "Fringe", "Outcome", "SolveConfig", "Status", "end_gap", "solve",
 ]
 

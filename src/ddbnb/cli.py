@@ -48,6 +48,14 @@ def _positive(value: str) -> int:
     return number
 
 
+def _timeout(value: str) -> float:
+    seconds = float(value)
+    # `not >=` also rejects NaN, which no deadline comparison would ever hit
+    if not seconds >= 0:
+        raise argparse.ArgumentTypeError("expected seconds >= 0 (or inf)")
+    return seconds
+
+
 def _reported(problem, value):
     """Sign-corrected objective value for display."""
     return -value if problem.negated else value
@@ -200,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="rough-bound filtering during compilation")
     p_solve.add_argument("--locb", type=_onoff, default=True,
                          help="local-bound pruning of subproblems")
-    p_solve.add_argument("--timeout", type=float, default=1800.0)
+    p_solve.add_argument("--timeout", type=_timeout, default=1800.0)
     p_solve.add_argument("--json", action="store_true")
     p_solve.add_argument("--dot", metavar="FILE",
                          help="dump a root relaxed diagram in DOT form")
@@ -208,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gen = commands.add_parser("gen", help="generate a random instance")
     p_gen.add_argument("problem", choices=sorted(LOADERS))
-    p_gen.add_argument("--n", type=int, required=True)
+    p_gen.add_argument("--n", type=_positive, required=True)
     p_gen.add_argument("--p", type=float, default=None)
     p_gen.add_argument("--seed", type=int, required=True)
     p_gen.add_argument("-o", "--output", required=True)
@@ -219,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--configs", default="none,rub,locb,rub+locb")
     p_bench.add_argument("--width", type=_positive, default=None,
                          help="layer width (default: unfixed variable count)")
-    p_bench.add_argument("--timeout", type=float, default=1800.0)
+    p_bench.add_argument("--timeout", type=_timeout, default=1800.0)
     p_bench.add_argument("--threads", type=_positive, default=1,
                          help="solve rows in this many worker processes")
     p_bench.add_argument("-o", "--output", default=None)

@@ -154,32 +154,36 @@ def _integers(lineno: int, tokens, what: str) -> List[int]:
         raise ParseError(lineno, f"non-integer {what}") from None
 
 
-def _header_sizes(lineno: int, tok) -> Tuple[int, int]:
-    """(N, M) of a 'p <format> N M' header; neither may be negative."""
-    n, m = _integers(lineno, tok[2:], "header fields")
-    if n < 0 or m < 0:
-        raise ParseError(lineno, "header sizes must be non-negative")
-    return n, m
+def _read_header(lines, fmt: str) -> Tuple[int, int]:
+    """(N, M) of the 'p <fmt> N M' header, which must precede every other
+    line of `lines` (from `_tokenized_lines`) but comments ('c ...').
+    Consumes `lines` up to the header; the caller reads the body from the
+    same iterator and rejects a second header there."""
+    for lineno, tok in lines:
+        if tok[0] == "c":
+            continue
+        if tok[0] != "p":
+            raise ParseError(lineno, f"missing 'p {fmt}' header")
+        if len(tok) != 4 or tok[1] != fmt:
+            raise ParseError(lineno, f"header must be 'p {fmt} N M'")
+        n, m = _integers(lineno, tok[2:], "header fields")
+        if n < 0 or m < 0:
+            raise ParseError(lineno, "header sizes must be non-negative")
+        return n, m
+    raise ParseError(1, f"missing 'p {fmt}' header")
 
 
 def parse_graph(text: str) -> Graph:
-    n = None
-    m_declared = 0
+    lines = _tokenized_lines(text)
+    n, m_declared = _read_header(lines, "edge")
     edges: Dict[Tuple[int, int], int] = {}
     weights: Dict[int, int] = {}
-    for lineno, tok in _tokenized_lines(text):
+    for lineno, tok in lines:
         kind = tok[0]
         if kind == "c":
             continue
         if kind == "p":
-            if n is not None:
-                raise ParseError(lineno, "duplicate header")
-            if len(tok) != 4 or tok[1] != "edge":
-                raise ParseError(lineno, "header must be 'p edge N M'")
-            n, m_declared = _header_sizes(lineno, tok)
-            continue
-        if n is None:
-            raise ParseError(lineno, "missing 'p edge' header")
+            raise ParseError(lineno, "duplicate header")
         if kind == "e":
             if len(tok) != 4:
                 raise ParseError(lineno, "edge line must be 'e U V W'")
@@ -206,8 +210,6 @@ def parse_graph(text: str) -> Graph:
             weights[i] = w
         else:
             raise ParseError(lineno, f"unknown line type {kind!r}")
-    if n is None:
-        raise ParseError(1, "missing 'p edge' header")
     if len(edges) != m_declared:
         raise ParseError(1, f"declared {m_declared} edges, found {len(edges)}")
     vw = tuple(weights.get(i, 1) for i in range(n))
@@ -215,21 +217,14 @@ def parse_graph(text: str) -> Graph:
 
 
 def parse_wcnf(text: str) -> CnfFormula:
-    n = None
-    m_declared = 0
+    lines = _tokenized_lines(text)
+    n, m_declared = _read_header(lines, "wcnf")
     clauses = []
-    for lineno, tok in _tokenized_lines(text):
+    for lineno, tok in lines:
         if tok[0] == "c":
             continue
         if tok[0] == "p":
-            if n is not None:
-                raise ParseError(lineno, "duplicate header")
-            if len(tok) != 4 or tok[1] != "wcnf":
-                raise ParseError(lineno, "header must be 'p wcnf N M'")
-            n, m_declared = _header_sizes(lineno, tok)
-            continue
-        if n is None:
-            raise ParseError(lineno, "missing 'p wcnf' header")
+            raise ParseError(lineno, "duplicate header")
         try:
             nums = [int(t) for t in tok]
         except ValueError:
@@ -245,17 +240,14 @@ def parse_wcnf(text: str) -> CnfFormula:
             if lit == 0 or abs(lit) > n:
                 raise ParseError(lineno, f"literal {lit} out of range")
         clauses.append((weight, lits))
-    if n is None:
-        raise ParseError(1, "missing 'p wcnf' header")
     if len(clauses) != m_declared:
         raise ParseError(1, f"declared {m_declared} clauses, found {len(clauses)}")
     return CnfFormula(n, tuple(clauses))
 
 
 def parse_tsptw(text: str) -> TsptwInstance:
-    lines = [(no, ln.split()) for no, ln in
-             ((no, raw.strip()) for no, raw in enumerate(text.splitlines(), 1))
-             if ln and not ln.startswith("#")]
+    lines = [(lineno, tok) for lineno, tok in _tokenized_lines(text)
+             if not tok[0].startswith("#")]
     if not lines:
         raise ParseError(1, "empty instance")
     lineno, head = lines[0]

@@ -1,4 +1,5 @@
-"""Top-down compilation of exact, restricted and relaxed decision diagrams.
+"""Top-down compilation of exact, restricted and relaxed decision diagrams,
+and the bottom-up local-bound pass over relaxed ones.
 
 A diagram unrolls the transition system of a subproblem layer by layer.
 Nodes within a layer are deduplicated by state, keeping the best
@@ -25,9 +26,15 @@ checked before each layer; once it has passed, `TimeoutError` is raised.
 
 The rough bound of a node is its value-from-root plus a completion estimate
 that depends only on its (layer, state) (see `Problem.rough_bound`).  The
-estimates live in a memo, one dict per layer, that the solver keeps for a
-whole solve, so `rough_bound` is evaluated once per (layer, state) per
-solve; every other RUB test and ranking key reads the memo.
+estimates live in a memo, one `Estimates` dict per layer, that the solver
+keeps for a whole solve, so `rough_bound` is evaluated once per (layer,
+state) per solve; every RUB test and ranking key reads the memo.
+
+`compute_local_bounds` walks a relaxed diagram bottom-up from its terminal
+layer, stopping once it crosses the last exact layer, and gives each node of
+that layer the value of the best full path through it.  Stopping there is
+sound only because the cutset is always that whole layer; a cutset taken
+anywhere else would need the walk to go on up to the root.
 """
 
 from __future__ import annotations
@@ -35,7 +42,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, List, Optional, Sequence, Tuple
 
 from .model import NEG_INF, POS_INF, Problem, Relaxation
 
@@ -146,43 +153,49 @@ def relax_layer(nodes: List[Node], width: int, relaxation: Relaxation,
 
 
 # Entries a completion-estimate memo may hold, split evenly over its layers.
-# A layer's dict that has reached its share is emptied before the layer is
-# compiled again, which costs only re-evaluations: the benchmark workloads
-# peak near 1,200 entries per layer, while a long solve of a 40-vertex MCP
-# instance gathers about 34,000 entries (14 MB) per second without the cap.
+# A layer's dict that holds its share is emptied before its next evaluation,
+# which costs only re-evaluations: the benchmark workloads peak near 1,200
+# entries per layer, while a long solve of a 40-vertex MCP instance gathers
+# about 34,000 entries (14 MB) per second without the cap.
 BOUND_MEMO_ENTRIES = 1 << 17
 
 
-def bound_memo(problem: Problem) -> List[Dict[Any, Any]]:
-    """An empty completion-estimate memo: one dict per layer 0..n."""
-    return [{} for _ in range(problem.n + 1)]
+class Estimates(dict):
+    """The memo of layer k: state -> completion estimate, that is
+    `rough_bound(state, 0, k)`, evaluated on the state's first lookup."""
+
+    __slots__ = ("rough_bound", "k", "cap")
+
+    def __init__(self, problem: Problem, k: int):
+        self.rough_bound = problem.rough_bound
+        self.k = k
+        self.cap = BOUND_MEMO_ENTRIES // (problem.n + 1)
+
+    def __missing__(self, state):
+        if len(self) >= self.cap:
+            self.clear()
+        rest = self[state] = self.rough_bound(state, 0, self.k)
+        return rest
 
 
-def completion_estimate(estimates: dict, rough_bound, state, value_top,
-                        k: int):
-    """`rough_bound(state, value_top, k) - value_top`, looked up in (or
-    first stored into) `estimates`, the memo dict of layer k.  `value_top`
-    must be finite; the NEG_INF and POS_INF sentinels come back unchanged."""
-    rest = estimates.get(state)
-    if rest is None:
-        rest = estimates[state] = rough_bound(state, value_top, k) - value_top
-    return rest
+def bound_memo(problem: Problem) -> List[Estimates]:
+    """An empty completion-estimate memo: one `Estimates` per layer 0..n."""
+    return [Estimates(problem, k) for k in range(problem.n + 1)]
 
 
 def compile_diagram(problem: Problem, relaxation: Optional[Relaxation],
                     sub: SubProblem, kind: DiagramKind, width: int = 0,
                     incumbent=NEG_INF, use_rub: bool = False,
-                    keep_arcs: Optional[bool] = None,
                     deadline: Optional[float] = None,
                     rank_by_bound: bool = False,
-                    bounds: Optional[List[dict]] = None) -> DecisionDiagram:
+                    bounds: Optional[List[Estimates]] = None) -> DecisionDiagram:
     """Unroll the subproblem rooted at `sub.state` into a decision diagram.
 
     `width` bounds every layer below the root for restricted/relaxed kinds
     (exact diagrams never bound).  `incumbent` and `use_rub` drive the
-    before-insertion completion-bound filter.  `keep_arcs` forces full
-    inbound arc lists (on by default for relaxed diagrams, which need them
-    for the bottom-up bound pass and for merging).  `deadline` is a
+    before-insertion completion-bound filter.  Relaxed diagrams keep every
+    node's inbound arcs, for merging and for `compute_local_bounds`; the
+    other kinds keep only the best one.  `deadline` is a
     `time.monotonic()` reading.  `rank_by_bound` ranks the nodes of an
     oversized layer by `(rough bound, value_top)` instead of by `value_top`.
     `bounds` is the completion-estimate memo (see `bound_memo`) shared by
@@ -192,7 +205,7 @@ def compile_diagram(problem: Problem, relaxation: Optional[Relaxation],
         raise ValueError("width-bounded compilation needs width >= 1")
     if kind is DiagramKind.RELAXED and relaxation is None:
         raise ValueError("relaxed compilation needs a relaxation")
-    keep = kind is DiagramKind.RELAXED if keep_arcs is None else keep_arcs
+    keep = kind is DiagramKind.RELAXED
 
     first = len(sub.path)
     root = Node(sub.state, sub.value_top, None, True, [] if keep else None)
@@ -201,33 +214,22 @@ def compile_diagram(problem: Problem, relaxation: Optional[Relaxation],
     dd.nodes_created = 1
 
     successors = problem.successors
-    rough_bound = problem.rough_bound
-    if bounds is None and (use_rub or rank_by_bound):
+    if bounds is None:
         bounds = bound_memo(problem)
-    layer_cap = BOUND_MEMO_ENTRIES // (problem.n + 1)
 
     for k in range(first, problem.n):
         if deadline is not None and time.monotonic() > deadline:
             raise TimeoutError("compilation passed its deadline")
         by_state: dict = {}
         get = by_state.get
-        if bounds is not None:
-            estimates = bounds[k + 1]
-            if len(estimates) >= layer_cap:
-                estimates.clear()
-            known = estimates.get
+        estimates = bounds[k + 1]
         for node in dd.layers[-1]:
             base = node.value_top
             exact = node.exact
             for value, child_state, weight in successors(node.state, k):
                 candidate = base + weight
-                if use_rub:
-                    rest = known(child_state)
-                    if rest is None:
-                        rest = estimates[child_state] = rough_bound(
-                            child_state, candidate, k + 1) - candidate
-                    if not candidate + rest > incumbent:
-                        continue
+                if use_rub and not candidate + estimates[child_state] > incumbent:
+                    continue
                 arc = (node, value, weight)
                 child = get(child_state)
                 if child is None:
@@ -246,9 +248,8 @@ def compile_diagram(problem: Problem, relaxation: Optional[Relaxation],
         layer = list(by_state.values())
         dd.nodes_created += len(layer)
         if kind is not DiagramKind.EXACT and len(layer) > width:
-            keys = ([(nd.value_top + completion_estimate(
-                        estimates, rough_bound, nd.state, nd.value_top, k + 1),
-                      nd.value_top) for nd in layer] if rank_by_bound else None)
+            keys = ([(nd.value_top + estimates[nd.state], nd.value_top)
+                     for nd in layer] if rank_by_bound else None)
             if kind is DiagramKind.RESTRICTED:
                 layer = restrict_layer(layer, width, keys)
             else:
@@ -302,6 +303,46 @@ def exact_cutset(dd: DecisionDiagram, use_local_bounds: bool = True) -> List[Sub
     return [SubProblem(node.state, node.value_top, tuple(_path_to(node)),
                        node.local_bound if use_local_bounds else dd.value)
             for node in dd.layers[rel]]
+
+
+def compute_local_bounds(dd: DecisionDiagram) -> int:
+    """Annotate the last-exact-layer nodes of a relaxed diagram with their
+    local bounds.
+
+    Walking up from the terminal layer, each node accumulates `value_bot`,
+    the value of its best node-to-terminal path (NEG_INF when it reaches no
+    terminal).  A cutset node's local bound is `value_top + value_bot`, the
+    value of the best full path through it, an upper bound on anything
+    attainable from its state; a dead end's is NEG_INF.  The pass touches
+    only nodes and arcs the compilation created.  Returns the number of node
+    visits, which callers may compare against `dd.nodes_created`.
+    """
+    if dd.kind is not DiagramKind.RELAXED:
+        raise ValueError("local bounds are computed on relaxed diagrams")
+    if dd.is_exact or dd.last_exact_layer is None:
+        raise ValueError("an exact diagram has no cutset to annotate")
+
+    visits = 0
+    if dd.best_terminal is not None:
+        for node in dd.layers[-1]:
+            node.value_bot = 0
+        cutoff = dd.last_exact_layer - dd.first_layer
+        for rel in range(len(dd.layers) - 1, cutoff, -1):
+            for node in dd.layers[rel]:
+                visits += 1
+                bot = node.value_bot
+                if bot == NEG_INF:
+                    continue
+                for parent, _, weight in (node.inbound or ()):
+                    candidate = bot + weight
+                    if candidate > parent.value_bot:
+                        parent.value_bot = candidate
+
+    rel = dd.last_exact_layer - dd.first_layer
+    for node in dd.layers[rel]:
+        visits += 1
+        node.local_bound = node.value_top + node.value_bot
+    return visits
 
 
 def to_dot(dd: DecisionDiagram) -> str:

@@ -98,10 +98,9 @@ class Problem(ABC):
 
         The result must be `value_top` plus a completion estimate that
         depends only on `(state, k)`, or one of the two sentinels.  The
-        compiler relies on this: it evaluates the hook once per (layer,
-        state) per solve, memoises `rough_bound(state, v, k) - v`, and adds
-        that estimate to the prefix value of every later node with the same
-        layer and state.
+        compiler relies on this: it evaluates `rough_bound(state, 0, k)`,
+        the estimate alone, once per (layer, state) per solve, and adds it to
+        the prefix value of every node with that layer and state.
         """
         return POS_INF
 

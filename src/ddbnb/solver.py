@@ -40,10 +40,9 @@ from enum import Enum
 from typing import Callable, List, Optional
 
 from .mdd import (DecisionDiagram, DiagramKind, SubProblem, best_solution,
-                  bound_memo, compile_diagram, completion_estimate,
+                  bound_memo, compile_diagram, compute_local_bounds,
                   exact_cutset)
 from .model import NEG_INF, POS_INF, Problem, Relaxation
-from .pruning import compute_local_bounds
 
 
 class Status(Enum):
@@ -143,9 +142,7 @@ class _Search:
         self.relaxation = relaxation
         self.config = config
         self.fringe = Fringe()
-        # allocated only when a RUB test or a ranking key will read it
-        self.bounds = (bound_memo(problem)
-                       if config.use_rub or self.rank_by_bound else None)
+        self.bounds = bound_memo(problem)
         self.incumbent = NEG_INF
         self.assignment: Optional[list] = None
         self.explored = 0
@@ -215,14 +212,12 @@ class _Search:
         """One subproblem per feasible decision out of `sub`'s root, each
         bounded by `ub` and filtered by RUB like a compiled arc."""
         k = len(sub.path)
-        rough_bound = self.problem.rough_bound
+        estimates = self.bounds[k + 1]
         use_rub = self.config.use_rub
         children = []
         for value, state, weight in self.problem.successors(sub.state, k):
             candidate = sub.value_top + weight
-            if use_rub and not candidate + completion_estimate(
-                    self.bounds[k + 1], rough_bound, state, candidate,
-                    k + 1) > self.incumbent:
+            if use_rub and not candidate + estimates[state] > self.incumbent:
                 continue
             children.append(SubProblem(state, candidate, (value,), ub))
         return children

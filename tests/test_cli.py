@@ -37,6 +37,20 @@ def test_gen_requires_density_for_graph_problems(tmp_path, capsys):
     assert "--p" in err
 
 
+def test_gen_size_must_be_positive(tmp_path, capsys):
+    # tsptw used to end in an IndexError; the graph and wcnf problems wrote
+    # a "p edge -2 0" header that `solve` then rejected
+    for problem in ("misp", "mcp", "max2sat", "tsptw"):
+        for n in ("0", "-1"):
+            out = tmp_path / f"{problem}{n}.txt"
+            code, _, err = run_cli("gen", problem, "--n", n, "--p", "0.5",
+                                   "--seed", "1", "-o", str(out),
+                                   capsys=capsys)
+            assert code == 1 and ">= 1" in err, (problem, n)
+            assert "Traceback" not in err
+            assert not out.exists()
+
+
 def test_solve_reports_closed_gap(misp_file, capsys):
     code, out, _ = run_cli("solve", "misp", str(misp_file), capsys=capsys)
     assert code == 0
@@ -173,6 +187,17 @@ def test_width_must_be_positive(manifest, misp_file, capsys):
             code, _, err = run_cli(*argv, "--width", width, "--timeout", "5",
                                    capsys=capsys)
             assert code == 1 and ">= 1" in err
+
+
+def test_timeout_must_be_non_negative_seconds(manifest, misp_file, capsys):
+    # a NaN deadline never passed, so `--timeout nan` used to solve with no
+    # deadline at all
+    for argv in (("solve", "misp", str(misp_file)), ("bench", str(manifest))):
+        for timeout in ("nan", "-1", "-inf", "soon"):
+            code, _, err = run_cli(*argv, "--timeout", timeout, capsys=capsys)
+            assert code == 1 and "--timeout" in err, (argv[0], timeout)
+        code, _, _ = run_cli(*argv, "--timeout", "inf", capsys=capsys)
+        assert code == 0
 
 
 def test_threads_is_a_positive_bench_option(manifest, misp_file, capsys):

@@ -69,13 +69,14 @@ def test_rub_filter_strict_boundary():
     # both arcs out of the root lead to the empty mask, whose rough bound is
     # the arc's value from the root: 0 when skipping the vertex, 42 when
     # taking it; an arc survives only when that strictly beats the incumbent
+    # (a relaxed diagram keeps every inbound arc; at width 2 nothing merges)
     sub = SubProblem(problem.initial_state, problem.initial_value)
     for incumbent, arcs in ((100, []), (NEG_INF, [(0, 0), (1, 42)]),
                             (42, []),  # equality is rejected
                             (41, [(1, 42)])):
-        dd = compile_diagram(problem, relaxation, sub, DiagramKind.EXACT,
-                             incumbent=incumbent, use_rub=True,
-                             keep_arcs=True)
+        dd = compile_diagram(problem, relaxation, sub, DiagramKind.RELAXED,
+                             2, incumbent=incumbent, use_rub=True)
+        assert dd.is_exact
         survivors = [(value, weight) for node in dd.layers[1]
                      for _, value, weight in node.inbound]
         assert survivors == arcs

@@ -260,39 +260,68 @@ def test_workers_agree_with_single_thread(tmp_path):
     assert len(csvs[0].splitlines()) == 1 + 4 * 4  # four problems, configs
 
 
-def test_bound_memo_only_when_a_rub_test_or_ranking_key_reads_it():
-    for name, use_rub, expected in (("misp", False, False),
-                                    ("misp", True, True),
-                                    ("mcp", False, True),
-                                    ("tsptw", False, False)):
-        _, problem, relaxation = make_problem(name, 0, 5)
-        search = _Search(problem, relaxation, SolveConfig(use_rub=use_rub))
-        assert (search.bounds is not None) is expected, (name, use_rub)
-
-
 @pytest.mark.parametrize("name", PROBLEMS)
 def test_memo_holds_each_states_own_estimate_at_its_layer(name):
-    # after whole solves, root branchings included (at width 1 they fire on
-    # every model but TSPTW, whose diagrams here never need them), every
-    # memo entry is rough_bound(state, v, layer) - v of its own layer
+    # after whole rub+locb solves, root branchings included (at width 1 they
+    # fire on every model but TSPTW, whose diagrams here never need them),
+    # every memo entry is rough_bound(state, 0, layer) of its own layer, and
+    # rough_bound ran only to fill the entries: one call per entry
     branched = 0
     for seed in range(3):
         _, problem, relaxation = make_problem(name, seed, 7)
+        bound = problem.rough_bound
         for width in (1, 2, None):
+            calls = []
+
+            def counted(state, value_top, k):
+                calls.append(value_top)
+                return bound(state, value_top, k)
+
+            problem.rough_bound = counted
             search = _Search(problem, relaxation, SolveConfig(width=width))
             root_branches = search.root_branches
 
-            def counted(sub, ub):
+            def branching(sub, ub):
                 nonlocal branched
                 branched += 1
                 return root_branches(sub, ub)
 
-            search.root_branches = counted
+            search.root_branches = branching
             search.fringe.push(SubProblem(problem.initial_state,
                                           problem.initial_value, (), POS_INF))
             search.run()
+            entries = sum(len(estimates) for estimates in search.bounds)
+            assert 0 < len(calls) == entries, (seed, width)
+            assert set(calls) == {0}
             for k, estimates in enumerate(search.bounds):
                 for state, rest in estimates.items():
-                    assert rest == problem.rough_bound(state, 5, k) - 5, (
-                        seed, width, k, state)
+                    assert rest == bound(state, 0, k), (seed, width, k, state)
     assert branched > 0 or name == "tsptw"
+
+
+@pytest.mark.parametrize("name", PROBLEMS)
+def test_root_branches_keep_children_whose_rough_bound_beats_the_incumbent(
+        name):
+    # the RUB test of a root branching reads the memo of the child's layer:
+    # at the root and two layers down, at every incumbent drawn from the
+    # children's own bounds, a child survives iff its bound beats it
+    for seed in range(3):
+        _, problem, relaxation = make_problem(name, seed, 7)
+        search = _Search(problem, relaxation, SolveConfig())
+        sub = SubProblem(problem.initial_state, problem.initial_value)
+        for k in range(3):
+            arcs = [(value, state, weight,
+                     problem.rough_bound(state, sub.value_top + weight, k + 1))
+                    for value, state, weight
+                    in problem.successors(sub.state, k)]
+            for incumbent in {NEG_INF} | {arc[3] for arc in arcs}:
+                search.incumbent = incumbent
+                kept = [(child.path, child.state)
+                        for child in search.root_branches(sub, POS_INF)]
+                assert kept == [((value,), state) for value, state, _, bound
+                                in arcs if bound > incumbent], (seed, k)
+            if not arcs:
+                break
+            value, state, weight, _ = arcs[0]
+            sub = SubProblem(state, sub.value_top + weight,
+                             sub.path + (value,))
