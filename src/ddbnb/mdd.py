@@ -12,10 +12,11 @@ longest-path ranking of Bergman et al.), or, with `rank_by_bound`, by
 `(rough bound, value-from-root)`.  Ranking ties break on insertion order so
 compilation is fully deterministic.
 
-A node is exact while every path into it is a path of the exact diagram.
-Only a relaxed squeeze makes nodes inexact, and each one leaves a merged node
-in its layer, so the last exact layer is the one above the first relaxed
-squeeze; its nodes are the branching frontier handed to the driver.
+Every path into a layer above the first relaxed squeeze is a path of the
+exact diagram, so the last exact layer is the one above that squeeze; its
+nodes are the branching frontier handed to the driver.  A relaxed diagram
+never squeezes the first layer below its root, so that frontier lies below
+the root and every branching fixes at least one variable.
 
 Each node is expanded with one `Problem.successors` call.  With `use_rub`,
 every candidate arc whose child's rough bound does not strictly beat the
@@ -58,7 +59,6 @@ class Node:
     state: Any
     value_top: Any                      # value of the best root-to-node path
     best_arc: Optional[tuple] = None    # (parent Node, decision value, weight)
-    exact: bool = True
     inbound: Optional[list] = None      # all (parent, value, weight) arcs
     value_bot: Any = NEG_INF            # best node-to-terminal path or NEG_INF
     local_bound: Any = NEG_INF
@@ -77,11 +77,11 @@ class SubProblem:
 @dataclass
 class DecisionDiagram:
     kind: DiagramKind
-    n: int
     first_layer: int                    # number of variables fixed by the root
     layers: List[List[Node]] = field(default_factory=list)
     is_exact: bool = True               # no restriction/relaxation occurred
-    last_exact_layer: Optional[int] = None  # absolute layer index
+    # absolute index of the layer above the first relaxed squeeze, else None
+    last_exact_layer: Optional[int] = None
     best_terminal: Optional[Node] = None
     nodes_created: int = 0
 
@@ -126,9 +126,9 @@ def relax_layer(nodes: List[Node], width: int, relaxation: Relaxation,
     (see `_split` for `keys`).
 
     The merged state may collide with a kept node's state; the redirected
-    arcs then fold into that node and poison its exactness.  A layer of
-    exactly `width` nodes selects one node, which is only flagged inexact
-    (merging is the identity on singletons); the compiler never passes one.
+    arcs then fold into that node.  A layer of exactly `width` nodes selects
+    one node, which merging copies into a fresh node (merging is the
+    identity on singletons); the compiler never passes one.
     """
     if len(nodes) < width:
         return nodes
@@ -138,7 +138,7 @@ def relax_layer(nodes: List[Node], width: int, relaxation: Relaxation,
     target = next((node for node in kept if node.state == merged_state), None)
     fresh = target is None
     if fresh:
-        target = Node(merged_state, NEG_INF, None, False, [])
+        target = Node(merged_state, NEG_INF, None, [])
 
     for node in selected:
         for parent, value, weight in (node.inbound or ()):
@@ -148,7 +148,6 @@ def relax_layer(nodes: List[Node], width: int, relaxation: Relaxation,
                 target.value_top = candidate
                 target.best_arc = (parent, value, relaxed)
             target.inbound.append((parent, value, relaxed))
-    target.exact = False
     return kept + [target] if fresh else kept
 
 
@@ -191,15 +190,16 @@ def compile_diagram(problem: Problem, relaxation: Optional[Relaxation],
                     bounds: Optional[List[Estimates]] = None) -> DecisionDiagram:
     """Unroll the subproblem rooted at `sub.state` into a decision diagram.
 
-    `width` bounds every layer below the root for restricted/relaxed kinds
-    (exact diagrams never bound).  `incumbent` and `use_rub` drive the
-    before-insertion completion-bound filter.  Relaxed diagrams keep every
-    node's inbound arcs, for merging and for `compute_local_bounds`; the
-    other kinds keep only the best one.  `deadline` is a
-    `time.monotonic()` reading.  `rank_by_bound` ranks the nodes of an
-    oversized layer by `(rough bound, value_top)` instead of by `value_top`.
-    `bounds` is the completion-estimate memo (see `bound_memo`) shared by
-    the compiles of one solve; each compile gets a fresh one by default.
+    `width` bounds every layer below the root of a restricted diagram and
+    every layer below the first of a relaxed one (exact diagrams never
+    bound).  `incumbent` and `use_rub` drive the before-insertion
+    completion-bound filter.  Relaxed diagrams keep every node's inbound
+    arcs, for merging and for `compute_local_bounds`; the other kinds keep
+    only the best one.  `deadline` is a `time.monotonic()` reading.
+    `rank_by_bound` ranks the nodes of an oversized layer by `(rough bound,
+    value_top)` instead of by `value_top`.  `bounds` is the
+    completion-estimate memo (see `bound_memo`) shared by the compiles of
+    one solve; each compile gets a fresh one by default.
     """
     if kind is not DiagramKind.EXACT and width < 1:
         raise ValueError("width-bounded compilation needs width >= 1")
@@ -208,8 +208,8 @@ def compile_diagram(problem: Problem, relaxation: Optional[Relaxation],
     keep = kind is DiagramKind.RELAXED
 
     first = len(sub.path)
-    root = Node(sub.state, sub.value_top, None, True, [] if keep else None)
-    dd = DecisionDiagram(kind=kind, n=problem.n, first_layer=first)
+    root = Node(sub.state, sub.value_top, None, [] if keep else None)
+    dd = DecisionDiagram(kind=kind, first_layer=first)
     dd.layers.append([root])
     dd.nodes_created = 1
 
@@ -225,7 +225,6 @@ def compile_diagram(problem: Problem, relaxation: Optional[Relaxation],
         estimates = bounds[k + 1]
         for node in dd.layers[-1]:
             base = node.value_top
-            exact = node.exact
             for value, child_state, weight in successors(node.state, k):
                 candidate = base + weight
                 if use_rub and not candidate + estimates[child_state] > incumbent:
@@ -234,20 +233,19 @@ def compile_diagram(problem: Problem, relaxation: Optional[Relaxation],
                 child = get(child_state)
                 if child is None:
                     child = by_state[child_state] = Node(
-                        child_state, candidate, arc, exact,
-                        [] if keep else None)
-                else:
-                    if candidate > child.value_top:
-                        child.value_top = candidate
-                        child.best_arc = arc
-                    if not exact:
-                        child.exact = False
+                        child_state, candidate, arc, [] if keep else None)
+                elif candidate > child.value_top:
+                    child.value_top = candidate
+                    child.best_arc = arc
                 if keep:
                     child.inbound.append(arc)
 
         layer = list(by_state.values())
         dd.nodes_created += len(layer)
-        if kind is not DiagramKind.EXACT and len(layer) > width:
+        # a relaxed diagram keeps its root's children whole, so that its
+        # last exact layer lies below its root
+        if (kind is not DiagramKind.EXACT and len(layer) > width
+                and (k > first or kind is DiagramKind.RESTRICTED)):
             keys = ([(nd.value_top + estimates[nd.state], nd.value_top)
                      for nd in layer] if rank_by_bound else None)
             if kind is DiagramKind.RESTRICTED:
@@ -267,9 +265,6 @@ def compile_diagram(problem: Problem, relaxation: Optional[Relaxation],
 
     if len(dd.layers) == problem.n - first + 1 and dd.layers[-1]:
         dd.best_terminal = max(dd.layers[-1], key=lambda nd: nd.value_top)
-    if dd.last_exact_layer is None and not dd.is_exact:
-        # nodes were dropped (restriction) but none merged
-        dd.last_exact_layer = first + len(dd.layers) - 1
     return dd
 
 
@@ -347,13 +342,16 @@ def compute_local_bounds(dd: DecisionDiagram) -> int:
 
 def to_dot(dd: DecisionDiagram) -> str:
     """GraphViz rendering: states and path values on nodes, a double border
-    on inexact nodes, decision/weight labels on arcs."""
+    on the nodes below the last exact layer, decision/weight labels on
+    arcs."""
     ids = {}
     out = ["digraph dd {", "  rankdir=TB;"]
-    for layer in dd.layers:
+    exact_layers = (len(dd.layers) if dd.last_exact_layer is None
+                    else dd.last_exact_layer - dd.first_layer + 1)
+    for rel, layer in enumerate(dd.layers):
+        shape = ', peripheries=2' if rel >= exact_layers else ''
         for node in layer:
             ids[id(node)] = name = f"n{len(ids)}"
-            shape = ', peripheries=2' if not node.exact else ''
             out.append(f'  {name} [label="{node.state}\\nv={node.value_top}"{shape}];')
     for layer in dd.layers[1:]:
         for node in layer:

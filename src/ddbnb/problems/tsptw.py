@@ -48,7 +48,6 @@ class Tsptw(Problem):
     negated = True
 
     def __init__(self, inst: TsptwInstance):
-        self.inst = inst
         self.n = inst.n
         self.dist = inst.dist
         self.windows = inst.windows

@@ -6,13 +6,12 @@ compiles a restricted diagram (a feasible-solutions sample that may improve
 the incumbent) and, when that diagram had to drop nodes, a relaxed diagram
 whose value bounds the subproblem from above.  If the bound still beats the
 incumbent, the relaxed diagram's last exact layer is enqueued as new
-subproblems.  When that layer is the subproblem's own root (the layer below
-it already overflowed the width), the root's successors are enqueued
-instead, so every branching fixes at least one more variable and the search
-terminates at any width.  The diagrams' squeezes rank nodes as the model's
-`rank_by_bound` says.  One completion-estimate memo serves every compile
-and root branching of a solve, so `Problem.rough_bound` is evaluated once
-per (layer, state) per solve.
+subproblems.  A relaxed diagram never squeezes the layer right below its
+root, so its last exact layer lies below the root, every branching fixes at
+least one more variable and the search terminates at any width.  The
+diagrams' squeezes rank nodes as the model's `rank_by_bound` says.  One
+completion-estimate memo serves every compile of a solve, so
+`Problem.rough_bound` is evaluated once per (layer, state) per solve.
 
 Two optional filters sharpen this loop:
 
@@ -34,6 +33,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 import time
 from dataclasses import dataclass
 from enum import Enum
@@ -69,6 +69,11 @@ class SolveConfig:
     def __post_init__(self):
         if self.workers != 1:
             raise ValueError(f"workers must be 1, got {self.workers}")
+        if self.width is not None and self.width < 1:
+            raise ValueError(f"width must be at least 1, got {self.width}")
+        # no deadline comparison is ever true for NaN
+        if self.timeout is not None and math.isnan(self.timeout):
+            raise ValueError("timeout must be a number of seconds, got NaN")
 
 
 @dataclass
@@ -191,14 +196,9 @@ class _Search:
             return
         if relaxed.value <= self.incumbent:
             return
-        if relaxed.last_exact_layer == relaxed.first_layer:
-            # the cutset would be this subproblem again
-            children = self.root_branches(sub, relaxed.value)
-        else:
-            if cfg.use_locb:
-                compute_local_bounds(relaxed)
-            children = exact_cutset(relaxed, use_local_bounds=cfg.use_locb)
-        for child in children:
+        if cfg.use_locb:
+            compute_local_bounds(relaxed)
+        for child in exact_cutset(relaxed, use_local_bounds=cfg.use_locb):
             # inherit the parent's bound when it is tighter, so the global
             # bound can only shrink
             if sub.ub < child.ub:
@@ -207,20 +207,6 @@ class _Search:
                 continue
             child.path = sub.path + child.path
             self.fringe.push(child)
-
-    def root_branches(self, sub: SubProblem, ub) -> List[SubProblem]:
-        """One subproblem per feasible decision out of `sub`'s root, each
-        bounded by `ub` and filtered by RUB like a compiled arc."""
-        k = len(sub.path)
-        estimates = self.bounds[k + 1]
-        use_rub = self.config.use_rub
-        children = []
-        for value, state, weight in self.problem.successors(sub.state, k):
-            candidate = sub.value_top + weight
-            if use_rub and not candidate + estimates[state] > self.incumbent:
-                continue
-            children.append(SubProblem(state, candidate, (value,), ub))
-        return children
 
     def run(self) -> None:
         cfg = self.config

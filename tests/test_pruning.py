@@ -20,10 +20,10 @@ def handmade_diagram():
     root = Node("r", 0, inbound=[])
     a = Node("a", 10, best_arc=(root, 0, 10), inbound=[(root, 0, 10)])
     b = Node("b", 100, best_arc=(root, 1, 100), inbound=[(root, 1, 100)])
-    m1 = Node("m1", 14, best_arc=(a, 0, 4), exact=False, inbound=[(a, 0, 4)])
-    m2 = Node("m2", 101, best_arc=(b, 0, 1), exact=False, inbound=[(b, 0, 1)])
+    m1 = Node("m1", 14, best_arc=(a, 0, 4), inbound=[(a, 0, 4)])
+    m2 = Node("m2", 101, best_arc=(b, 0, 1), inbound=[(b, 0, 1)])
     t = Node("t", 102, best_arc=(m2, 1, 1), inbound=[(m1, 1, 2), (m2, 1, 1)])
-    dd = DecisionDiagram(kind=DiagramKind.RELAXED, n=3, first_layer=0,
+    dd = DecisionDiagram(kind=DiagramKind.RELAXED, first_layer=0,
                          layers=[[root], [a, b], [m1, m2], [t]],
                          is_exact=False, last_exact_layer=1,
                          best_terminal=t, nodes_created=6)
@@ -53,9 +53,9 @@ def test_dead_end_cutset_node_gets_neg_inf():
     root = Node("r", 0, inbound=[])
     a = Node("a", 3, best_arc=(root, 0, 3), inbound=[(root, 0, 3)])
     b = Node("b", 9, best_arc=(root, 1, 9), inbound=[(root, 1, 9)])
-    m = Node("m", 10, best_arc=(a, 0, 7), exact=False, inbound=[(a, 0, 7)])
+    m = Node("m", 10, best_arc=(a, 0, 7), inbound=[(a, 0, 7)])
     t = Node("t", 12, best_arc=(m, 0, 2), inbound=[(m, 0, 2)])
-    dd = DecisionDiagram(kind=DiagramKind.RELAXED, n=3, first_layer=0,
+    dd = DecisionDiagram(kind=DiagramKind.RELAXED, first_layer=0,
                          layers=[[root], [a, b], [m], [t]], is_exact=False,
                          last_exact_layer=1, best_terminal=t, nodes_created=5)
     compute_local_bounds(dd)

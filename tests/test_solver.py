@@ -62,9 +62,9 @@ def test_all_configs_return_the_optimum(name, seed):
 
 @pytest.mark.parametrize("name", PROBLEMS)
 def test_every_width_and_ranking_reaches_the_optimum(name):
-    # at widths 1 and 2 the layer below a subproblem's root can overflow, so
-    # the relaxed diagram's cutset is that root; the search then branches on
-    # the root's decisions instead of re-enqueueing it forever
+    # at widths 1 and 2 the layer below a subproblem's root can overflow; a
+    # relaxed diagram keeps that layer whole, so its cutset lies below the
+    # root and the search never re-enqueues a subproblem forever
     for seed in range(3):
         _, problem, relaxation = make_problem(name, seed, 7)
         best, _ = brute_force_optimum(problem)
@@ -262,11 +262,9 @@ def test_workers_agree_with_single_thread(tmp_path):
 
 @pytest.mark.parametrize("name", PROBLEMS)
 def test_memo_holds_each_states_own_estimate_at_its_layer(name):
-    # after whole rub+locb solves, root branchings included (at width 1 they
-    # fire on every model but TSPTW, whose diagrams here never need them),
-    # every memo entry is rough_bound(state, 0, layer) of its own layer, and
-    # rough_bound ran only to fill the entries: one call per entry
-    branched = 0
+    # after whole rub+locb solves, at width 1 too, every memo entry is
+    # rough_bound(state, 0, layer) of its own layer, and rough_bound ran only
+    # to fill the entries: one call per entry
     for seed in range(3):
         _, problem, relaxation = make_problem(name, seed, 7)
         bound = problem.rough_bound
@@ -279,14 +277,6 @@ def test_memo_holds_each_states_own_estimate_at_its_layer(name):
 
             problem.rough_bound = counted
             search = _Search(problem, relaxation, SolveConfig(width=width))
-            root_branches = search.root_branches
-
-            def branching(sub, ub):
-                nonlocal branched
-                branched += 1
-                return root_branches(sub, ub)
-
-            search.root_branches = branching
             search.fringe.push(SubProblem(problem.initial_state,
                                           problem.initial_value, (), POS_INF))
             search.run()
@@ -296,32 +286,57 @@ def test_memo_holds_each_states_own_estimate_at_its_layer(name):
             for k, estimates in enumerate(search.bounds):
                 for state, rest in estimates.items():
                     assert rest == bound(state, 0, k), (seed, width, k, state)
-    assert branched > 0 or name == "tsptw"
 
 
 @pytest.mark.parametrize("name", PROBLEMS)
-def test_root_branches_keep_children_whose_rough_bound_beats_the_incumbent(
-        name):
-    # the RUB test of a root branching reads the memo of the child's layer:
-    # at the root and two layers down, at every incumbent drawn from the
-    # children's own bounds, a child survives iff its bound beats it
+def test_relaxed_diagrams_keep_their_roots_children(name):
+    # at every width, a relaxed diagram's first layer holds one node per
+    # distinct state among the root's successors that survive RUB, at the
+    # best value into it, and an inexact one's last exact layer lies below
+    # its root, so a branching never hands back its own subproblem
+    inexact = 0
     for seed in range(3):
         _, problem, relaxation = make_problem(name, seed, 7)
-        search = _Search(problem, relaxation, SolveConfig())
-        sub = SubProblem(problem.initial_state, problem.initial_value)
-        for k in range(3):
-            arcs = [(value, state, weight,
-                     problem.rough_bound(state, sub.value_top + weight, k + 1))
-                    for value, state, weight
-                    in problem.successors(sub.state, k)]
-            for incumbent in {NEG_INF} | {arc[3] for arc in arcs}:
-                search.incumbent = incumbent
-                kept = [(child.path, child.state)
-                        for child in search.root_branches(sub, POS_INF)]
-                assert kept == [((value,), state) for value, state, _, bound
-                                in arcs if bound > incumbent], (seed, k)
-            if not arcs:
-                break
-            value, state, weight, _ = arcs[0]
-            sub = SubProblem(state, sub.value_top + weight,
-                             sub.path + (value,))
+        best, _ = brute_force_optimum(problem)
+        for width in (1, 2, 3, None):
+            for use_rub, use_locb in ALL_CONFIGS:
+
+                def observer(kind, dd, sub, incumbent):
+                    nonlocal inexact
+                    if kind != "relaxed":
+                        return
+                    if not dd.is_exact:
+                        inexact += 1
+                        assert dd.last_exact_layer > dd.first_layer
+                    k = dd.first_layer
+                    children = {}
+                    for _, state, weight in problem.successors(sub.state, k):
+                        value = sub.value_top + weight
+                        if (use_rub and not problem.rough_bound(
+                                state, value, k + 1) > incumbent):
+                            continue
+                        children[state] = max(children.get(state, NEG_INF),
+                                              value)
+                    first = {node.state: node.value_top
+                             for node in dd.layers[1]}
+                    assert len(first) == len(dd.layers[1])
+                    assert first == children
+
+                out = solve(problem, relaxation,
+                            SolveConfig(width=width, use_rub=use_rub,
+                                        use_locb=use_locb,
+                                        dd_observer=observer))
+                assert out.optimal and out.value == best
+    assert inexact > 0
+
+
+def test_config_rejects_nan_timeout_and_width_below_one():
+    # no deadline comparison is ever true for NaN, and a width below 1 used
+    # to run silently at width 1
+    for width in (0, -3):
+        with pytest.raises(ValueError, match="width"):
+            SolveConfig(width=width)
+    with pytest.raises(ValueError, match="timeout"):
+        SolveConfig(timeout=float("nan"))
+    assert SolveConfig(width=1, timeout=float("inf")).width == 1
+    assert SolveConfig(timeout=0.0).timeout == 0.0

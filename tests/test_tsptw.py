@@ -115,9 +115,9 @@ def test_exact_nodes_collapse_to_classical_dp(seed):
     dd = compile_diagram(problem, relaxation,
                          SubProblem(problem.initial_state, 0),
                          DiagramKind.EXACT)
+    assert dd.is_exact
     for layer in dd.layers:
         for node in layer:
-            assert node.exact
             assert node.state.position.bit_count() == 1
             assert node.state.earliest == node.state.latest
             assert node.state.may == 0
