@@ -74,9 +74,8 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _solve_one(problem_name: str, path: Path, width, use_rub, use_locb,
+def _solve_one(problem, relaxation, width, use_rub, use_locb,
                timeout) -> tuple:
-    problem, relaxation = LOADERS[problem_name](path.read_text())
     config = SolveConfig(width=width, use_rub=use_rub, use_locb=use_locb,
                          timeout=timeout)
     outcome = solve(problem, relaxation, config)
@@ -89,15 +88,15 @@ def cmd_solve(args) -> int:
     if not path.is_file():
         print(f"error: no such instance file: {path}", file=sys.stderr)
         return 1
+    problem, relaxation = LOADERS[args.problem](path.read_text())
     if args.dot:
-        problem, relaxation = LOADERS[args.problem](path.read_text())
         root = SubProblem(problem.initial_state, problem.initial_value)
         dd = compile_diagram(problem, relaxation, root, DiagramKind.RELAXED,
                              diagram_width(problem, root, args.width),
                              rank_by_bound=problem.rank_by_bound)
         Path(args.dot).write_text(to_dot(dd))
     outcome, objective, bound = _solve_one(
-        args.problem, path, args.width, args.rub, args.locb, args.timeout)
+        problem, relaxation, args.width, args.rub, args.locb, args.timeout)
     gap = outcome.gap
     payload = {
         "status": outcome.status.value,
@@ -137,8 +136,9 @@ def _bench_row(job, width, timeout, no_time) -> list:
     """The CSV cells of one (instance, config) row, in any process."""
     problem_name, rel_path, path, name = job
     use_rub, use_locb = CONFIGS[name]
-    outcome, objective, bound = _solve_one(problem_name, path, width, use_rub,
-                                           use_locb, timeout)
+    problem, relaxation = LOADERS[problem_name](path.read_text())
+    outcome, objective, bound = _solve_one(problem, relaxation, width,
+                                           use_rub, use_locb, timeout)
     seconds = "0.000" if no_time else f"{outcome.duration:.3f}"
     return [rel_path, problem_name, name, outcome.status.value,
             _fmt(objective), _fmt(bound), repr(outcome.gap), outcome.explored,

@@ -154,9 +154,10 @@ def _integers(lineno: int, tokens, what: str) -> List[int]:
         raise ParseError(lineno, f"non-integer {what}") from None
 
 
-def _read_header(lines, fmt: str) -> Tuple[int, int]:
-    """(N, M) of the 'p <fmt> N M' header, which must precede every other
-    line of `lines` (from `_tokenized_lines`) but comments ('c ...').
+def _read_header(lines, fmt: str) -> Tuple[int, int, int]:
+    """(N, M, line number) of the 'p <fmt> N M' header, which must precede
+    every other line of `lines` (from `_tokenized_lines`) but comments
+    ('c ...').
     Consumes `lines` up to the header; the caller reads the body from the
     same iterator and rejects a second header there."""
     for lineno, tok in lines:
@@ -169,13 +170,13 @@ def _read_header(lines, fmt: str) -> Tuple[int, int]:
         n, m = _integers(lineno, tok[2:], "header fields")
         if n < 0 or m < 0:
             raise ParseError(lineno, "header sizes must be non-negative")
-        return n, m
+        return n, m, lineno
     raise ParseError(1, f"missing 'p {fmt}' header")
 
 
 def parse_graph(text: str) -> Graph:
     lines = _tokenized_lines(text)
-    n, m_declared = _read_header(lines, "edge")
+    n, m_declared, header = _read_header(lines, "edge")
     edges: Dict[Tuple[int, int], int] = {}
     weights: Dict[int, int] = {}
     for lineno, tok in lines:
@@ -211,14 +212,15 @@ def parse_graph(text: str) -> Graph:
         else:
             raise ParseError(lineno, f"unknown line type {kind!r}")
     if len(edges) != m_declared:
-        raise ParseError(1, f"declared {m_declared} edges, found {len(edges)}")
+        raise ParseError(header,
+                         f"declared {m_declared} edges, found {len(edges)}")
     vw = tuple(weights.get(i, 1) for i in range(n))
     return Graph(n, edges, vw)
 
 
 def parse_wcnf(text: str) -> CnfFormula:
     lines = _tokenized_lines(text)
-    n, m_declared = _read_header(lines, "wcnf")
+    n, m_declared, header = _read_header(lines, "wcnf")
     clauses = []
     for lineno, tok in lines:
         if tok[0] == "c":
@@ -241,7 +243,8 @@ def parse_wcnf(text: str) -> CnfFormula:
                 raise ParseError(lineno, f"literal {lit} out of range")
         clauses.append((weight, lits))
     if len(clauses) != m_declared:
-        raise ParseError(1, f"declared {m_declared} clauses, found {len(clauses)}")
+        raise ParseError(header, f"declared {m_declared} clauses,"
+                                 f" found {len(clauses)}")
     return CnfFormula(n, tuple(clauses))
 
 

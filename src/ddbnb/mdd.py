@@ -18,11 +18,15 @@ nodes are the branching frontier handed to the driver.  A relaxed diagram
 never squeezes the first layer below its root, so that frontier lies below
 the root and every branching fixes at least one variable.
 
-Each node is expanded with one `Problem.successors` call.  With `use_rub`,
-every candidate arc whose child's rough bound does not strictly beat the
-incumbent is discarded before insertion.  This may only remove
-completions that are no better than the incumbent, so values derived from the
-diagram remain valid for pruning and incumbent improvement.  A deadline is
+Each node is expanded with one `Problem.successors` call.  Given an
+`expansions` memo (see `successors_memo`), which the solver keeps for a
+whole solve when the model sets `memoize_successors`, the call happens only
+on a (layer, state)'s first expansion, and every later node with that layer
+and state re-reads the kept arcs.  With `use_rub`, every candidate arc whose
+child's rough bound does not strictly beat the incumbent is discarded before
+insertion.  This may only remove completions that are no better than the
+incumbent, so values derived from the diagram remain valid for pruning and
+incumbent improvement.  A deadline is
 checked before each layer; once it has passed, `TimeoutError` is raised.
 
 The rough bound of a node is its value-from-root plus a completion estimate
@@ -182,12 +186,29 @@ def bound_memo(problem: Problem) -> List[Estimates]:
     return [Estimates(problem, k) for k in range(problem.n + 1)]
 
 
+# Entries a successors memo may hold per solve, split evenly over its
+# layers like BOUND_MEMO_ENTRIES.  The cap is checked once per layer: a
+# compile that reaches a layer whose dict holds its share empties it first,
+# which costs only re-expansions.  The benchmark workloads peak near 420
+# entries per layer and 2,700 per solve; a 10 s solve of a 40-vertex MCP
+# instance holds about 6,900 entries, each keeping two 40-component states
+# alive.
+SUCCESSOR_MEMO_ENTRIES = 1 << 14
+
+
+def successors_memo(problem: Problem) -> List[dict]:
+    """An empty successors memo: one dict per layer 0..n-1, mapping a state
+    to `tuple(problem.successors(state, k))`."""
+    return [{} for _ in range(problem.n)]
+
+
 def compile_diagram(problem: Problem, relaxation: Optional[Relaxation],
                     sub: SubProblem, kind: DiagramKind, width: int = 0,
                     incumbent=NEG_INF, use_rub: bool = False,
                     deadline: Optional[float] = None,
                     rank_by_bound: bool = False,
-                    bounds: Optional[List[Estimates]] = None) -> DecisionDiagram:
+                    bounds: Optional[List[Estimates]] = None,
+                    expansions: Optional[List[dict]] = None) -> DecisionDiagram:
     """Unroll the subproblem rooted at `sub.state` into a decision diagram.
 
     `width` bounds every layer below the root of a restricted diagram and
@@ -199,7 +220,9 @@ def compile_diagram(problem: Problem, relaxation: Optional[Relaxation],
     `rank_by_bound` ranks the nodes of an oversized layer by `(rough bound,
     value_top)` instead of by `value_top`.  `bounds` is the
     completion-estimate memo (see `bound_memo`) shared by the compiles of
-    one solve; each compile gets a fresh one by default.
+    one solve; each compile gets a fresh one by default.  `expansions` is
+    a successors memo (see `successors_memo`) shared the same way; by
+    default every node's `successors` is called directly.
     """
     if kind is not DiagramKind.EXACT and width < 1:
         raise ValueError("width-bounded compilation needs width >= 1")
@@ -216,6 +239,8 @@ def compile_diagram(problem: Problem, relaxation: Optional[Relaxation],
     successors = problem.successors
     if bounds is None:
         bounds = bound_memo(problem)
+    memo = None
+    cap = SUCCESSOR_MEMO_ENTRIES // (problem.n + 1)
 
     for k in range(first, problem.n):
         if deadline is not None and time.monotonic() > deadline:
@@ -223,9 +248,20 @@ def compile_diagram(problem: Problem, relaxation: Optional[Relaxation],
         by_state: dict = {}
         get = by_state.get
         estimates = bounds[k + 1]
+        if expansions is not None:
+            memo = expansions[k]
+            if len(memo) >= cap:
+                memo.clear()
+            known = memo.get
         for node in dd.layers[-1]:
             base = node.value_top
-            for value, child_state, weight in successors(node.state, k):
+            if memo is None:
+                arcs = successors(node.state, k)
+            else:
+                arcs = known(node.state)
+                if arcs is None:
+                    arcs = memo[node.state] = tuple(successors(node.state, k))
+            for value, child_state, weight in arcs:
                 candidate = base + weight
                 if use_rub and not candidate + estimates[child_state] > incumbent:
                     continue

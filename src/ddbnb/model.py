@@ -48,6 +48,14 @@ class Problem(ABC):
                         keeps the longest-path ranking by `value_top`.  Set
                         it where `rough_bound` separates the nodes of a layer
                         better than their prefix values do.
+      memoize_successors -- True when the solver keeps the result of every
+                        `successors(state, k)` call for the rest of the solve
+                        and re-reads it when a later diagram reaches the same
+                        (layer, state) again; False calls `successors` for
+                        every node.  Set it where `successors` costs clearly
+                        more than a dict lookup (vector states, multi-valued
+                        domains); for a few bit operations the memo's upkeep
+                        costs more than it saves.
     """
 
     n: int
@@ -55,6 +63,7 @@ class Problem(ABC):
     initial_value: int = 0
     negated: bool = False
     rank_by_bound: bool = False
+    memoize_successors: bool = False
 
     @abstractmethod
     def domain(self, state: State, k: int) -> Iterable:
@@ -81,6 +90,11 @@ class Problem(ABC):
         each child state and its cost in one pass.  The triple stays the
         reference that `evaluate_assignment` and the enumeration oracles
         replay.
+
+        The result must be a pure function of `(state, k)`: with
+        `memoize_successors` the solver keeps it as a tuple and re-reads it
+        for every later node of layer k with an equal state, so neither the
+        triples nor the states in them may change after the call.
         """
         for value in self.domain(state, k):
             nxt = self.transition(state, k, value)

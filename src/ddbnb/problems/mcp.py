@@ -40,6 +40,9 @@ class MaxCut(Problem):
     # vertex to the prefix value, so it sees what a layer's states still
     # promise; ranked by it, squeezes keep far fewer doomed nodes
     rank_by_bound = True
+    # an expansion builds two n-component states; the relaxed compile and
+    # the cutset children re-reach most of them, so keep them per solve
+    memoize_successors = True
 
     def __init__(self, graph: Graph):
         self.n = graph.n

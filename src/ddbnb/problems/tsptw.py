@@ -46,6 +46,10 @@ class TsptwState(NamedTuple):
 
 class Tsptw(Problem):
     negated = True
+    # an expansion computes the arrival window of every open city; the
+    # relaxed compile and the cutset children re-reach most states, so keep
+    # them per solve
+    memoize_successors = True
 
     def __init__(self, inst: TsptwInstance):
         self.n = inst.n

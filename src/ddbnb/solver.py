@@ -11,7 +11,11 @@ root, so its last exact layer lies below the root, every branching fixes at
 least one more variable and the search terminates at any width.  The
 diagrams' squeezes rank nodes as the model's `rank_by_bound` says.  One
 completion-estimate memo serves every compile of a solve, so
-`Problem.rough_bound` is evaluated once per (layer, state) per solve.
+`Problem.rough_bound` is evaluated once per (layer, state) per solve.  When
+the model sets `memoize_successors`, one successors memo does the same for
+`Problem.successors`: the relaxed compile and the cutset children's
+compiles re-read the expansions of the states that earlier compiles of the
+solve already expanded.
 
 Two optional filters sharpen this loop:
 
@@ -41,7 +45,7 @@ from typing import Callable, List, Optional
 
 from .mdd import (DecisionDiagram, DiagramKind, SubProblem, best_solution,
                   bound_memo, compile_diagram, compute_local_bounds,
-                  exact_cutset)
+                  exact_cutset, successors_memo)
 from .model import NEG_INF, POS_INF, Problem, Relaxation
 
 
@@ -138,7 +142,7 @@ class Fringe:
 
 class _Search:
     """State of one solve call: the fringe, the incumbent, the
-    completion-estimate memo and the counters."""
+    completion-estimate and successors memos and the counters."""
 
     def __init__(self, problem: Problem, relaxation: Relaxation,
                  config: SolveConfig):
@@ -148,6 +152,8 @@ class _Search:
         self.config = config
         self.fringe = Fringe()
         self.bounds = bound_memo(problem)
+        self.expansions = (successors_memo(problem)
+                           if problem.memoize_successors else None)
         self.incumbent = NEG_INF
         self.assignment: Optional[list] = None
         self.explored = 0
@@ -167,7 +173,8 @@ class _Search:
                              self.incumbent, cfg.use_rub,
                              deadline=self.deadline,
                              rank_by_bound=self.rank_by_bound,
-                             bounds=self.bounds)
+                             bounds=self.bounds,
+                             expansions=self.expansions)
         self.dd_nodes += dd.nodes_created
         if cfg.dd_observer:
             cfg.dd_observer(kind.value, dd, sub,

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from ddbnb import cli
 from ddbnb.cli import main
 
 
@@ -140,6 +141,25 @@ def test_dot_dump(misp_file, tmp_path, capsys):
                          "--dot", str(target), capsys=capsys)
     assert code == 0
     assert target.read_text().startswith("digraph")
+
+
+def test_dot_dump_loads_the_instance_once(tmp_path, capsys, monkeypatch):
+    # the diagram dump and the solve share one parse of the file
+    path = tmp_path / "mcp.gr"
+    assert main(["gen", "mcp", "--n", "8", "--p", "0.5", "--seed", "1",
+                 "-o", str(path)]) == 0
+    loads = []
+    load = cli.LOADERS["mcp"]
+
+    def counted(text):
+        loads.append(text)
+        return load(text)
+
+    monkeypatch.setitem(cli.LOADERS, "mcp", counted)
+    code, _, _ = run_cli("solve", "mcp", str(path), "--width", "1",
+                         "--dot", str(tmp_path / "dd.dot"), capsys=capsys)
+    assert code == 0
+    assert len(loads) == 1
 
 
 @pytest.fixture

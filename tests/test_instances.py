@@ -164,6 +164,16 @@ def test_negative_header_sizes_are_rejected(parse, text):
         parse(text)
 
 
+@pytest.mark.parametrize("parse,text", [
+    (io.parse_graph, "c a\nc b\np edge 2 1\n"),
+    (io.parse_wcnf, "c a\nc b\np wcnf 2 2\n1 1 0\n"),
+])
+def test_a_count_mismatch_names_the_header_line(parse, text):
+    with pytest.raises(io.ParseError, match="line 3: declared") as info:
+        parse(text)
+    assert info.value.lineno == 3
+
+
 def test_tsptw_without_a_depot_is_rejected():
     with pytest.raises(io.ParseError, match="line 1: .*depot"):
         io.parse_tsptw("0\n")

@@ -326,44 +326,73 @@ def test_to_dot_marks_inexact_nodes():
 
 
 def layer_signature(dd):
-    return ([[(node.state, node.value_top) for node in layer]
-             for layer in dd.layers], dd.last_exact_layer, dd.nodes_created)
+    """Every node's state, value, best arc and inbound arcs, with each arc's
+    parent given by its position in the layer above."""
+    where = {id(node): pos for layer in dd.layers
+             for pos, node in enumerate(layer)}
+
+    def arc(parent, value, weight):
+        return where[id(parent)], value, weight
+
+    return ([[(node.state, node.value_top,
+               node.best_arc and arc(*node.best_arc),
+               node.inbound and [arc(*a) for a in node.inbound])
+              for node in layer] for layer in dd.layers],
+            dd.last_exact_layer, dd.nodes_created)
 
 
 @pytest.mark.parametrize("name", PROBLEMS)
 def test_a_shared_bound_memo_changes_no_layer(name, monkeypatch):
-    # one memo across a sequence of compiles, as the solver keeps it, gives
-    # the layers of fresh per-compile memos with fewer rough_bound calls;
-    # so does a memo whose layers are emptied at a cap of two entries
+    # one pair of memos across a sequence of compiles, as the solver keeps
+    # them, gives the arcs of direct calls and of fresh per-compile memos
+    # with fewer rough_bound and successors calls; so do memos whose layers
+    # are emptied at a cap of two entries
     _, problem, relaxation = make_problem(name, 1, 8)
     best, _ = brute_force_optimum(problem)
     root = root_of(problem)
     subs = [root] + exact_cutset(
         compile_kind(problem, relaxation, DiagramKind.RELAXED, 2),
         use_local_bounds=False)
-    calls = [0]
-    bound = problem.rough_bound
+    calls = {"rough_bound": 0, "successors": 0}
 
-    def counted(*args):
-        calls[0] += 1
-        return bound(*args)
+    def counted(name, original):
+        def call(*args):
+            calls[name] += 1
+            return original(*args)
+        return call
 
-    problem.rough_bound = counted
+    for callback in calls:
+        setattr(problem, callback, counted(callback, getattr(problem, callback)))
     runs = {}
-    for memo in ("fresh", "shared", "capped"):
+    for memo in ("direct", "fresh", "shared", "capped"):
         if memo == "capped":
             monkeypatch.setattr(mdd, "BOUND_MEMO_ENTRIES", 2 * (problem.n + 1))
-        bounds = None if memo == "fresh" else mdd.bound_memo(problem)
-        calls[0] = 0
+            monkeypatch.setattr(mdd, "SUCCESSOR_MEMO_ENTRIES",
+                                2 * (problem.n + 1))
+        kept = {"bounds": mdd.bound_memo(problem),
+                "expansions": mdd.successors_memo(problem)}
+
+        def memos():
+            if memo == "direct":
+                return {}
+            if memo == "fresh":
+                return {"expansions": mdd.successors_memo(problem)}
+            return kept
+
+        calls.update(rough_bound=0, successors=0)
         runs[memo] = [layer_signature(compile_diagram(
             problem, relaxation, sub, kind, 3, best - 2, True,
-            rank_by_bound=rank, bounds=bounds))
+            rank_by_bound=rank, **memos()))
             for sub in subs
             for kind in (DiagramKind.RESTRICTED, DiagramKind.RELAXED)
-            for rank in (False, True)], calls[0]
-    assert runs["shared"][0] == runs["fresh"][0] == runs["capped"][0]
-    assert 0 < runs["shared"][1] < runs["capped"][1]
-    assert runs["shared"][1] < runs["fresh"][1]
+            for rank in (False, True)], dict(calls)
+    assert (runs["direct"][0] == runs["fresh"][0] == runs["shared"][0]
+            == runs["capped"][0])
+    direct, fresh, shared, capped = (runs[memo][1] for memo in runs)
+    assert direct == fresh
+    for callback in calls:
+        assert 0 < shared[callback] < capped[callback], callback
+        assert shared[callback] < fresh[callback], callback
 
 
 def test_compile_rejects_zero_width():

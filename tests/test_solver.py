@@ -1,4 +1,5 @@
 import time
+from collections import Counter
 
 import pytest
 
@@ -328,6 +329,64 @@ def test_relaxed_diagrams_keep_their_roots_children(name):
                                         dd_observer=observer))
                 assert out.optimal and out.value == best
     assert inexact > 0
+
+
+@pytest.mark.parametrize("name", PROBLEMS)
+def test_the_successors_memo_changes_no_result(name, monkeypatch):
+    # with the memo, repeat expansions become lookups of the first one's
+    # arcs: value, assignment and every count are those of direct calls,
+    # with fewer successors calls
+    for seed in range(2):
+        _, problem, relaxation = make_problem(name, seed, 9)
+        expand = problem.successors
+        calls = {False: 0, True: 0}
+        for width in (2, None):
+            for use_rub, use_locb in ALL_CONFIGS:
+                results = {}
+                for memoize in (False, True):
+
+                    def counted(state, k):
+                        calls[memoize] += 1
+                        return expand(state, k)
+
+                    monkeypatch.setattr(problem, "memoize_successors", memoize)
+                    monkeypatch.setattr(problem, "successors", counted)
+                    out = solve(problem, relaxation,
+                                SolveConfig(width=width, use_rub=use_rub,
+                                            use_locb=use_locb))
+                    assert out.optimal
+                    results[memoize] = (out.value, out.assignment,
+                                        out.explored, out.dd_nodes)
+                assert results[False] == results[True], (seed, width,
+                                                          use_rub, use_locb)
+        assert 0 < calls[True] < calls[False]
+
+
+@pytest.mark.parametrize("name", ["mcp", "tsptw"])
+def test_the_memo_expands_each_layer_state_once_per_solve(name):
+    # the relaxed compile and the cutset children's compiles re-reach the
+    # states that earlier compiles of the solve expanded; none of them calls
+    # successors again for a (layer, state)
+    repeats = 0
+    for seed in range(3):
+        _, problem, relaxation = make_problem(name, seed, 10)
+        expand = problem.successors
+        for width in (2, None):
+            for use_rub, use_locb in ((False, False), (True, True)):
+                seen = Counter()
+
+                def counted(state, k):
+                    seen[k, state] += 1
+                    return expand(state, k)
+
+                problem.successors = counted
+                out = solve(problem, relaxation,
+                            SolveConfig(width=width, use_rub=use_rub,
+                                        use_locb=use_locb))
+                assert out.optimal
+                assert max(seen.values()) == 1, (seed, width, use_rub)
+                repeats += out.explored > 1
+    assert repeats > 0
 
 
 def test_config_rejects_nan_timeout_and_width_below_one():
