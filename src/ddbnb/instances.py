@@ -26,6 +26,12 @@ from typing import Dict, List, Optional, Tuple
 
 MASK64 = (1 << 64) - 1
 
+# Largest N a "p edge" or "p wcnf" header may declare.  The models allocate
+# from N before any solve (the max-cut weight matrix alone holds N^2
+# entries), so a 14-byte header could otherwise demand gigabytes; every
+# instance a decision diagram solves in reasonable time is far smaller.
+MAX_DECLARED_SIZE = 1000
+
 
 class SplitMix64:
     """Tiny portable seeded RNG (see module docstring for the exact stream)."""
@@ -170,6 +176,9 @@ def _read_header(lines, fmt: str) -> Tuple[int, int, int]:
         n, m = _integers(lineno, tok[2:], "header fields")
         if n < 0 or m < 0:
             raise ParseError(lineno, "header sizes must be non-negative")
+        if n > MAX_DECLARED_SIZE:
+            raise ParseError(lineno, f"declared size {n} exceeds the limit"
+                                     f" of {MAX_DECLARED_SIZE}")
         return n, m, lineno
     raise ParseError(1, f"missing 'p {fmt}' header")
 

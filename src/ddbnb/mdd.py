@@ -12,6 +12,15 @@ longest-path ranking of Bergman et al.), or, with `rank_by_bound`, by
 `(rough bound, value-from-root)`.  Ranking ties break on insertion order so
 compilation is fully deterministic.
 
+Relaxed diagrams are built from `Node` objects that keep every inbound arc,
+which merging and `compute_local_bounds` need.  Restricted and exact
+diagrams keep only each state's value and best incoming arc, in state-keyed
+layers (see `DecisionDiagram`): a new node costs a dict lookup and two
+stores instead of a `Node`.  Relaxed diagrams stay with `Node`s because
+every extra dict keyed by state hashes the state again; an all-dict
+prototype ran the MCP benchmark workload, whose states are 18-component
+tuples, 1.12x slower.
+
 Every path into a layer above the first relaxed squeeze is a path of the
 exact diagram, so the last exact layer is the one above that squeeze; its
 nodes are the branching frontier handed to the driver.  A relaxed diagram
@@ -45,8 +54,9 @@ anywhere else would need the walk to go on up to the root.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
+from operator import attrgetter, itemgetter
 from typing import Any, List, Optional, Sequence, Tuple
 
 from .model import NEG_INF, POS_INF, Problem, Relaxation
@@ -78,20 +88,68 @@ class SubProblem:
     ub: Any = POS_INF
 
 
-@dataclass
 class DecisionDiagram:
-    kind: DiagramKind
-    first_layer: int                    # number of variables fixed by the root
-    layers: List[List[Node]] = field(default_factory=list)
-    is_exact: bool = True               # no restriction/relaxation occurred
-    # absolute index of the layer above the first relaxed squeeze, else None
-    last_exact_layer: Optional[int] = None
-    best_terminal: Optional[Node] = None
-    nodes_created: int = 0
+    """A compiled diagram, or one built by hand from `Node` layers.
+
+    A relaxed diagram holds `Node` layers, whose inbound arcs merging and
+    `compute_local_bounds` need.  A restricted or exact one from
+    `compile_diagram` holds state-keyed layers (see the module docstring):
+    `_values`, a dict `state -> value_top` per layer; `_arcs`, a dict
+    `state -> (parent state, decision value, weight)` per layer, empty for
+    the root's; `_terminal`, the best terminal's `(state, value)`.  Its
+    `layers` and `best_terminal` are a `Node` view, built on first read and
+    then cached; the solver never reads them.  `value` is the best
+    terminal's value, NEG_INF without one.
+    """
+
+    __slots__ = ("kind", "first_layer", "is_exact", "last_exact_layer",
+                 "nodes_created", "value", "_layers", "_best_terminal",
+                 "_values", "_arcs", "_terminal")
+
+    def __init__(self, kind: DiagramKind, first_layer: int,
+                 layers: Optional[List[List[Node]]] = None,
+                 is_exact: bool = True,
+                 last_exact_layer: Optional[int] = None,
+                 best_terminal: Optional[Node] = None,
+                 nodes_created: int = 0):
+        self.kind = kind
+        self.first_layer = first_layer      # number of variables fixed by the root
+        self.is_exact = is_exact            # no restriction/relaxation occurred
+        # absolute index of the layer above the first relaxed squeeze, else None
+        self.last_exact_layer = last_exact_layer
+        self.nodes_created = nodes_created
+        self.value = (NEG_INF if best_terminal is None
+                      else best_terminal.value_top)
+        self._layers = [] if layers is None else layers
+        self._best_terminal = best_terminal
+        self._values: Optional[List[dict]] = None
+        self._arcs: Optional[List[dict]] = None
+        self._terminal: Optional[tuple] = None
 
     @property
-    def value(self):
-        return self.best_terminal.value_top if self.best_terminal else NEG_INF
+    def layers(self) -> List[List[Node]]:
+        if self._layers is None:
+            self._build_view()
+        return self._layers
+
+    @property
+    def best_terminal(self) -> Optional[Node]:
+        if self._layers is None:
+            self._build_view()
+        return self._best_terminal
+
+    def _build_view(self) -> None:
+        layers, nodes = [], {}
+        for values, arcs in zip(self._values, self._arcs):
+            parents, nodes = nodes, {}
+            for state, value_top in values.items():
+                arc = arcs.get(state)
+                nodes[state] = Node(state, value_top, arc and (
+                    parents[arc[0]], arc[1], arc[2]))
+            layers.append(list(nodes.values()))
+        self._layers = layers
+        if self._terminal is not None:
+            self._best_terminal = nodes[self._terminal[0]]
 
 
 def _split(nodes: Sequence[Node], count: int,
@@ -99,7 +157,9 @@ def _split(nodes: Sequence[Node], count: int,
     """(the `count` nodes with the largest keys, the others), both in
     insertion order; of the nodes tied at the cut, the earlier are kept.
 
-    `keys` parallels `nodes` and defaults to their values-from-root.
+    `keys` parallels `nodes` and defaults to their values-from-root; given
+    keys, the items may be anything, such as the `(state, value_top)` pairs
+    of a state-keyed layer.
     """
     if count < 1:
         return [], list(nodes)
@@ -214,11 +274,11 @@ def compile_diagram(problem: Problem, relaxation: Optional[Relaxation],
     `width` bounds every layer below the root of a restricted diagram and
     every layer below the first of a relaxed one (exact diagrams never
     bound).  `incumbent` and `use_rub` drive the before-insertion
-    completion-bound filter.  Relaxed diagrams keep every node's inbound
-    arcs, for merging and for `compute_local_bounds`; the other kinds keep
-    only the best one.  `deadline` is a `time.monotonic()` reading.
-    `rank_by_bound` ranks the nodes of an oversized layer by `(rough bound,
-    value_top)` instead of by `value_top`.  `bounds` is the
+    completion-bound filter.  A relaxed diagram is built from `Node`s, a
+    restricted or exact one from state-keyed layers (see `DecisionDiagram`);
+    only the per-node loop differs.  `deadline` is a `time.monotonic()`
+    reading.  `rank_by_bound` ranks the nodes of an oversized layer by
+    `(rough bound, value_top)` instead of by `value_top`.  `bounds` is the
     completion-estimate memo (see `bound_memo`) shared by the compiles of
     one solve; each compile gets a fresh one by default.  `expansions` is
     a successors memo (see `successors_memo`) shared the same way; by
@@ -231,9 +291,16 @@ def compile_diagram(problem: Problem, relaxation: Optional[Relaxation],
     keep = kind is DiagramKind.RELAXED
 
     first = len(sub.path)
-    root = Node(sub.state, sub.value_top, None, [] if keep else None)
     dd = DecisionDiagram(kind=kind, first_layer=first)
-    dd.layers.append([root])
+    if keep:
+        layer = [Node(sub.state, sub.value_top, None, [])]
+        layers = dd._layers
+    else:
+        layer = {sub.state: sub.value_top}
+        layers = dd._values = []
+        best_arcs = dd._arcs = [{}]
+        dd._layers = None
+    layers.append(layer)
     dd.nodes_created = 1
 
     successors = problem.successors
@@ -245,48 +312,67 @@ def compile_diagram(problem: Problem, relaxation: Optional[Relaxation],
     for k in range(first, problem.n):
         if deadline is not None and time.monotonic() > deadline:
             raise TimeoutError("compilation passed its deadline")
-        by_state: dict = {}
-        get = by_state.get
         estimates = bounds[k + 1]
         if expansions is not None:
             memo = expansions[k]
             if len(memo) >= cap:
                 memo.clear()
             known = memo.get
-        for node in dd.layers[-1]:
-            base = node.value_top
-            if memo is None:
-                arcs = successors(node.state, k)
-            else:
-                arcs = known(node.state)
-                if arcs is None:
-                    arcs = memo[node.state] = tuple(successors(node.state, k))
-            for value, child_state, weight in arcs:
-                candidate = base + weight
-                if use_rub and not candidate + estimates[child_state] > incumbent:
-                    continue
-                arc = (node, value, weight)
-                child = get(child_state)
-                if child is None:
-                    child = by_state[child_state] = Node(
-                        child_state, candidate, arc, [] if keep else None)
-                elif candidate > child.value_top:
-                    child.value_top = candidate
-                    child.best_arc = arc
-                if keep:
+        if keep:
+            by_state: dict = {}
+            get = by_state.get
+            for node in layer:
+                base = node.value_top
+                if memo is None:
+                    arcs = successors(node.state, k)
+                else:
+                    arcs = known(node.state)
+                    if arcs is None:
+                        arcs = memo[node.state] = tuple(successors(node.state, k))
+                for value, child_state, weight in arcs:
+                    candidate = base + weight
+                    if use_rub and not candidate + estimates[child_state] > incumbent:
+                        continue
+                    arc = (node, value, weight)
+                    child = get(child_state)
+                    if child is None:
+                        child = by_state[child_state] = Node(
+                            child_state, candidate, arc, [])
+                    elif candidate > child.value_top:
+                        child.value_top = candidate
+                        child.best_arc = arc
                     child.inbound.append(arc)
+            layer = list(by_state.values())
+        else:
+            values: dict = {}
+            best: dict = {}
+            get = values.get
+            for state, base in layer.items():
+                if memo is None:
+                    arcs = successors(state, k)
+                else:
+                    arcs = known(state)
+                    if arcs is None:
+                        arcs = memo[state] = tuple(successors(state, k))
+                for value, child_state, weight in arcs:
+                    candidate = base + weight
+                    if use_rub and not candidate + estimates[child_state] > incumbent:
+                        continue
+                    old = get(child_state)
+                    if old is None or candidate > old:
+                        values[child_state] = candidate
+                        best[child_state] = (state, value, weight)
+            layer = values
+            best_arcs.append(best)
 
-        layer = list(by_state.values())
         dd.nodes_created += len(layer)
         # a relaxed diagram keeps its root's children whole, so that its
         # last exact layer lies below its root
         if (kind is not DiagramKind.EXACT and len(layer) > width
-                and (k > first or kind is DiagramKind.RESTRICTED)):
-            keys = ([(nd.value_top + estimates[nd.state], nd.value_top)
-                     for nd in layer] if rank_by_bound else None)
-            if kind is DiagramKind.RESTRICTED:
-                layer = restrict_layer(layer, width, keys)
-            else:
+                and (k > first or not keep)):
+            if keep:
+                keys = ([(nd.value_top + estimates[nd.state], nd.value_top)
+                         for nd in layer] if rank_by_bound else None)
                 layer = relax_layer(layer, width, relaxation, keys)
                 if len(layer) == width:
                     # width - 1 kept plus a fresh merge node; a collision
@@ -294,22 +380,40 @@ def compile_diagram(problem: Problem, relaxation: Optional[Relaxation],
                     dd.nodes_created += 1
                 if dd.last_exact_layer is None:
                     dd.last_exact_layer = k
+            else:
+                items = list(layer.items())
+                keys = ([(v + estimates[state], v) for state, v in items]
+                        if rank_by_bound else list(layer.values()))
+                layer = dict(restrict_layer(items, width, keys))
             dd.is_exact = False
-        dd.layers.append(layer)
+        layers.append(layer)
         if not layer:
             break
 
-    if len(dd.layers) == problem.n - first + 1 and dd.layers[-1]:
-        dd.best_terminal = max(dd.layers[-1], key=lambda nd: nd.value_top)
+    if len(layers) == problem.n - first + 1 and layer:
+        if keep:
+            dd._best_terminal = max(layer, key=attrgetter("value_top"))
+            dd.value = dd._best_terminal.value_top
+        else:
+            dd._terminal = max(layer.items(), key=itemgetter(1))
+            dd.value = dd._terminal[1]
     return dd
 
 
 def best_solution(dd: DecisionDiagram):
     """(value, decision values from the diagram root) of the best terminal path."""
-    node = dd.best_terminal
-    if node is None:
+    if dd._arcs is None:
+        node = dd.best_terminal
+        return None if node is None else (dd.value, _path_to(node))
+    if dd._terminal is None:
         return None
-    return dd.value, _path_to(node)
+    state = dd._terminal[0]
+    values = []
+    for rel in range(len(dd._arcs) - 1, 0, -1):
+        state, value, _ = dd._arcs[rel][state]
+        values.append(value)
+    values.reverse()
+    return dd.value, values
 
 
 def _path_to(node: Node) -> list:

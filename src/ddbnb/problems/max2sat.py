@@ -79,10 +79,13 @@ class Max2Sat(Problem):
         self.taut = tuple(taut)
         self.upos = tuple(upos)
         self.uneg = tuple(uneg)
-        self.pairs_of: Tuple[Tuple[Tuple[int, int, int, int, int], ...], ...] = tuple(
-            tuple((j, *pair[(i, j)]) for j in range(i + 1, n) if (i, j) in pair)
-            for i in range(n)
-        )
+        # per variable i, (j, *pair[(i, j)]) for every partner j > i in
+        # ascending order, grouped from the clauses rather than from all
+        # n^2 index pairs
+        rows: List[List[Tuple[int, int, int, int, int]]] = [[] for _ in range(n)]
+        for (i, j), weights in sorted(pair.items()):
+            rows[i].append((j, *weights))
+        self.pairs_of = tuple(map(tuple, rows))
         self.initial_state = (0,) * n
         self.initial_value = sum(taut)
 

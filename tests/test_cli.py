@@ -113,6 +113,18 @@ def test_solve_json_is_valid_on_infeasible_instance(tmp_path, capsys):
     assert payload["objective"] is None and payload["bound"] is None
 
 
+@pytest.mark.parametrize("problem,header", [("mcp", "p edge 1001 0"),
+                                            ("misp", "p edge 1001 0"),
+                                            ("max2sat", "p wcnf 1001 0")])
+def test_solve_rejects_an_oversized_header(tmp_path, capsys, problem, header):
+    path = tmp_path / "big.txt"
+    path.write_text(header + "\n")
+    code, _, err = run_cli("solve", problem, str(path), capsys=capsys)
+    assert code == 1
+    assert "line 1: declared size 1001 exceeds the limit of 1000" in err
+    assert "Traceback" not in err
+
+
 def test_solve_missing_file(capsys):
     code, _, err = run_cli("solve", "misp", "no-such-file.gr", capsys=capsys)
     assert code == 1

@@ -165,6 +165,19 @@ def test_negative_header_sizes_are_rejected(parse, text):
 
 
 @pytest.mark.parametrize("parse,text", [
+    (io.parse_graph, "c big\np edge 1001 0\n"),
+    (io.parse_wcnf, "c big\np wcnf 1001 0\n"),
+])
+def test_declared_sizes_above_the_limit_are_rejected(parse, text):
+    # the models allocate from the declared size before any solve
+    assert io.MAX_DECLARED_SIZE == 1000
+    with pytest.raises(io.ParseError, match="line 2: declared size 1001") as info:
+        parse(text)
+    assert info.value.lineno == 2
+    parse(text.replace("1001", "1000"))
+
+
+@pytest.mark.parametrize("parse,text", [
     (io.parse_graph, "c a\nc b\np edge 2 1\n"),
     (io.parse_wcnf, "c a\nc b\np wcnf 2 2\n1 1 0\n"),
 ])

@@ -16,6 +16,23 @@ def build(n_vars, clauses):
     return max2sat.Max2Sat(io.CnfFormula(n_vars, tuple(clauses)))
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_pairs_of_lists_each_variables_later_partners_in_order(seed):
+    formula, _, _ = make_problem("max2sat", seed, 14, 0.3)
+    prob = max2sat.Max2Sat(formula)
+    pair = {}
+    for weight, lits in formula.clauses:
+        if len(lits) == 2 and abs(lits[0]) != abs(lits[1]):
+            (a, b) = sorted(lits, key=abs)
+            slot = pair.setdefault((abs(a) - 1, abs(b) - 1), [0, 0, 0, 0])
+            slot[(0 if a > 0 else 2) + (0 if b > 0 else 1)] += weight
+    n = formula.n_vars
+    assert prob.pairs_of == tuple(
+        tuple((j, *pair[(i, j)]) for j in range(i + 1, n) if (i, j) in pair)
+        for i in range(n))
+    assert any(prob.pairs_of)
+
+
 def test_unit_clause_collected_only_when_satisfied():
     prob = build(1, [(5, (1,))])
     assert prob.transition_cost((0,), 0, TRUE) == 5

@@ -2,9 +2,9 @@ import random
 
 import pytest
 
-from ddbnb import (DiagramKind, NEG_INF, Node, SubProblem, best_solution,
-                   brute_force_optimum, compile_diagram, exact_cutset,
-                   relax_layer, restrict_layer, to_dot)
+from ddbnb import (DiagramKind, NEG_INF, Node, SolveConfig, SubProblem,
+                   best_solution, brute_force_optimum, compile_diagram,
+                   exact_cutset, relax_layer, restrict_layer, solve, to_dot)
 from ddbnb import mdd
 from ddbnb import instances as io
 from ddbnb.model import Problem
@@ -399,3 +399,58 @@ def test_compile_rejects_zero_width():
     problem, relaxation = crafted()
     with pytest.raises(ValueError):
         compile_kind(problem, relaxation, DiagramKind.RESTRICTED, 0)
+
+
+# ---------------------------------------------------------------------------
+# node representations: relaxed diagrams build Nodes, the other kinds build
+# state-keyed layers and a Node view on first read
+
+
+@pytest.mark.parametrize("name,n", [("misp", 40), ("tsptw", 11)])
+def test_only_relaxed_compiles_construct_nodes(name, n, monkeypatch):
+    constructed = 0
+
+    class Counted(Node):
+        def __init__(self, *args, **kwargs):
+            nonlocal constructed
+            constructed += 1
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(mdd, "Node", Counted)
+    created = {"restricted": 0, "relaxed": 0}
+
+    def observe(kind, dd, sub, incumbent):
+        created[kind] += dd.nodes_created
+
+    _, problem, relaxation = make_problem(name, 0, n)
+    out = solve(problem, relaxation, SolveConfig(use_rub=False, use_locb=False,
+                                                 dd_observer=observe))
+    assert out.optimal and created["restricted"] > 0 < created["relaxed"]
+    assert constructed == created["relaxed"]
+
+
+def path_of(node):
+    values = []
+    while node.best_arc is not None:
+        parent, value, weight = node.best_arc
+        assert node.value_top == parent.value_top + weight
+        values.append(value)
+        node = parent
+    return node, values[::-1]
+
+
+@pytest.mark.parametrize("name", PROBLEMS)
+def test_the_node_view_replays_the_best_solution(name):
+    for seed in range(3):
+        _, problem, relaxation = make_problem(name, seed, 9)
+        for kind, width in [(DiagramKind.EXACT, 0), (DiagramKind.RESTRICTED, 1),
+                            (DiagramKind.RESTRICTED, 3)]:
+            dd = compile_kind(problem, relaxation, kind, width)
+            value, decisions = best_solution(dd)
+            assert dd.best_terminal in dd.layers[-1]
+            assert dd.best_terminal.value_top == value == dd.value
+            root, path = path_of(dd.best_terminal)
+            assert path == decisions and root is dd.layers[0][0]
+            assert dd.layers is dd.layers   # built once, then cached
+            assert len(dd.layers) == problem.n + 1
+            assert sum(map(len, dd.layers)) <= dd.nodes_created
