@@ -104,6 +104,7 @@ def cmd_solve(args) -> int:
         "objective": _json_number(objective),
         "bound": _json_number(bound),
         "explored": outcome.explored,
+        "dd_nodes": outcome.dd_nodes,
         "seconds": round(outcome.duration, 3),
         "problem": args.problem,
         "instance": str(path),

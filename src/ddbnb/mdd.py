@@ -12,14 +12,16 @@ longest-path ranking of Bergman et al.), or, with `rank_by_bound`, by
 `(rough bound, value-from-root)`.  Ranking ties break on insertion order so
 compilation is fully deterministic.
 
-Relaxed diagrams are built from `Node` objects that keep every inbound arc,
-which merging and `compute_local_bounds` need.  Restricted and exact
-diagrams keep only each state's value and best incoming arc, in state-keyed
-layers (see `DecisionDiagram`): a new node costs a dict lookup and two
-stores instead of a `Node`.  Relaxed diagrams stay with `Node`s because
-every extra dict keyed by state hashes the state again; an all-dict
-prototype ran the MCP benchmark workload, whose states are 18-component
-tuples, 1.12x slower.
+Every diagram starts as state-keyed layers (see `DecisionDiagram`), which
+keep only each state's value and best incoming arc: a new node costs a dict
+lookup and two stores.  Restricted and exact diagrams, and relaxed ones
+that never squeeze, stay that way, and their best paths are read from the
+arcs.  Merging and `compute_local_bounds` need every inbound arc, so at a
+relaxed diagram's first squeeze the layer above it, its last exact layer,
+is rebuilt as `Node`s and expanded again into `Node`s that keep their
+inbound arcs; the rest of the diagram is built from `Node`s.  The second
+expansion repeats that layer's `successors` calls unless an `expansions`
+memo serves them.
 
 Every path into a layer above the first relaxed squeeze is a path of the
 exact diagram, so the last exact layer is the one above that squeeze; its
@@ -91,20 +93,23 @@ class SubProblem:
 class DecisionDiagram:
     """A compiled diagram, or one built by hand from `Node` layers.
 
-    A relaxed diagram holds `Node` layers, whose inbound arcs merging and
-    `compute_local_bounds` need.  A restricted or exact one from
-    `compile_diagram` holds state-keyed layers (see the module docstring):
-    `_values`, a dict `state -> value_top` per layer; `_arcs`, a dict
+    A compiled diagram holds state-keyed layers (see the module docstring)
+    down to its last exact layer, or to its terminal layer when it has
+    none: `_values`, a dict `state -> value_top` per layer; `_arcs`, a dict
     `state -> (parent state, decision value, weight)` per layer, empty for
-    the root's; `_terminal`, the best terminal's `(state, value)`.  Its
-    `layers` and `best_terminal` are a `Node` view, built on first read and
-    then cached; the solver never reads them.  `value` is the best
-    terminal's value, NEG_INF without one.
+    the root's; `_terminal`, the best terminal's `(state, value)` when the
+    terminal layer is state-keyed.  An inexact relaxed diagram also holds
+    `_nodes`, its `Node` layers from the last exact layer, whose nodes have
+    no arcs, down to the terminal layer, whose best node is
+    `_best_terminal`; merging and `compute_local_bounds` need their inbound
+    arcs.  `layers` and `best_terminal` are a `Node` view joining both
+    parts, built on first read and then cached; the solver never reads
+    them.  `value` is the best terminal's value, NEG_INF without one.
     """
 
     __slots__ = ("kind", "first_layer", "is_exact", "last_exact_layer",
-                 "nodes_created", "value", "_layers", "_best_terminal",
-                 "_values", "_arcs", "_terminal")
+                 "nodes_created", "max_width", "value", "_layers",
+                 "_best_terminal", "_values", "_arcs", "_terminal", "_nodes")
 
     def __init__(self, kind: DiagramKind, first_layer: int,
                  layers: Optional[List[List[Node]]] = None,
@@ -118,6 +123,7 @@ class DecisionDiagram:
         # absolute index of the layer above the first relaxed squeeze, else None
         self.last_exact_layer = last_exact_layer
         self.nodes_created = nodes_created
+        self.max_width = 0      # most nodes a compiled layer held unsqueezed
         self.value = (NEG_INF if best_terminal is None
                       else best_terminal.value_top)
         self._layers = [] if layers is None else layers
@@ -125,6 +131,8 @@ class DecisionDiagram:
         self._values: Optional[List[dict]] = None
         self._arcs: Optional[List[dict]] = None
         self._terminal: Optional[tuple] = None
+        self._nodes = (None if layers is None or last_exact_layer is None
+                       else layers[last_exact_layer - first_layer:])
 
     @property
     def layers(self) -> List[List[Node]]:
@@ -139,7 +147,7 @@ class DecisionDiagram:
         return self._best_terminal
 
     def _build_view(self) -> None:
-        layers, nodes = [], {}
+        layers, parents, nodes = [], {}, {}
         for values, arcs in zip(self._values, self._arcs):
             parents, nodes = nodes, {}
             for state, value_top in values.items():
@@ -147,6 +155,14 @@ class DecisionDiagram:
                 nodes[state] = Node(state, value_top, arc and (
                     parents[arc[0]], arc[1], arc[2]))
             layers.append(list(nodes.values()))
+        if self._nodes is not None:
+            # the last exact layer was compiled in both forms: the view
+            # shows its Nodes, given best arcs into the layer above
+            arcs = self._arcs[-1]
+            for node in self._nodes[0]:
+                parent, value, weight = arcs[node.state]
+                node.best_arc = (parents[parent], value, weight)
+            layers[-1:] = self._nodes
         self._layers = layers
         if self._terminal is not None:
             self._best_terminal = nodes[self._terminal[0]]
@@ -274,8 +290,9 @@ def compile_diagram(problem: Problem, relaxation: Optional[Relaxation],
     `width` bounds every layer below the root of a restricted diagram and
     every layer below the first of a relaxed one (exact diagrams never
     bound).  `incumbent` and `use_rub` drive the before-insertion
-    completion-bound filter.  A relaxed diagram is built from `Node`s, a
-    restricted or exact one from state-keyed layers (see `DecisionDiagram`);
+    completion-bound filter.  Layers are state-keyed until a relaxed
+    diagram's first squeeze, which rebuilds the layer above it as `Node`s
+    and expands it again keeping every inbound arc (see `DecisionDiagram`);
     only the per-node loop differs.  `deadline` is a `time.monotonic()`
     reading.  `rank_by_bound` ranks the nodes of an oversized layer by
     `(rough bound, value_top)` instead of by `value_top`.  `bounds` is the
@@ -288,20 +305,16 @@ def compile_diagram(problem: Problem, relaxation: Optional[Relaxation],
         raise ValueError("width-bounded compilation needs width >= 1")
     if kind is DiagramKind.RELAXED and relaxation is None:
         raise ValueError("relaxed compilation needs a relaxation")
-    keep = kind is DiagramKind.RELAXED
+    relaxed = kind is DiagramKind.RELAXED
 
     first = len(sub.path)
     dd = DecisionDiagram(kind=kind, first_layer=first)
-    if keep:
-        layer = [Node(sub.state, sub.value_top, None, [])]
-        layers = dd._layers
-    else:
-        layer = {sub.state: sub.value_top}
-        layers = dd._values = []
-        best_arcs = dd._arcs = [{}]
-        dd._layers = None
-    layers.append(layer)
-    dd.nodes_created = 1
+    layer = {sub.state: sub.value_top}
+    values = dd._values = [layer]
+    best_arcs = dd._arcs = [{}]
+    dd._layers = None
+    nodes = None                        # a relaxed diagram's Node layers
+    dd.nodes_created = dd.max_width = 1
 
     successors = problem.successors
     if bounds is None:
@@ -318,35 +331,10 @@ def compile_diagram(problem: Problem, relaxation: Optional[Relaxation],
             if len(memo) >= cap:
                 memo.clear()
             known = memo.get
-        if keep:
-            by_state: dict = {}
-            get = by_state.get
-            for node in layer:
-                base = node.value_top
-                if memo is None:
-                    arcs = successors(node.state, k)
-                else:
-                    arcs = known(node.state)
-                    if arcs is None:
-                        arcs = memo[node.state] = tuple(successors(node.state, k))
-                for value, child_state, weight in arcs:
-                    candidate = base + weight
-                    if use_rub and not candidate + estimates[child_state] > incumbent:
-                        continue
-                    arc = (node, value, weight)
-                    child = get(child_state)
-                    if child is None:
-                        child = by_state[child_state] = Node(
-                            child_state, candidate, arc, [])
-                    elif candidate > child.value_top:
-                        child.value_top = candidate
-                        child.best_arc = arc
-                    child.inbound.append(arc)
-            layer = list(by_state.values())
-        else:
-            values: dict = {}
+        if nodes is None:
+            children: dict = {}
             best: dict = {}
-            get = values.get
+            get = children.get
             for state, base in layer.items():
                 if memo is None:
                     arcs = successors(state, k)
@@ -360,60 +348,103 @@ def compile_diagram(problem: Problem, relaxation: Optional[Relaxation],
                         continue
                     old = get(child_state)
                     if old is None or candidate > old:
-                        values[child_state] = candidate
+                        children[child_state] = candidate
                         best[child_state] = (state, value, weight)
-            layer = values
-            best_arcs.append(best)
+            if len(children) > dd.max_width:
+                dd.max_width = len(children)
+            # a relaxed diagram keeps its root's children whole, so that
+            # its last exact layer lies below its root
+            squeeze = (kind is not DiagramKind.EXACT and len(children) > width
+                       and (k > first or not relaxed))
+            if not (squeeze and relaxed):
+                dd.nodes_created += len(children)
+                if squeeze:
+                    items = list(children.items())
+                    keys = ([(v + estimates[state], v) for state, v in items]
+                            if rank_by_bound else list(children.values()))
+                    children = dict(restrict_layer(items, width, keys))
+                    dd.is_exact = False
+                layer = children
+                values.append(layer)
+                best_arcs.append(best)
+                if not layer:
+                    break
+                continue
+            # the first relaxed squeeze: `layer` is the last exact layer;
+            # rebuild it as Nodes and expand it again, keeping every arc
+            dd.last_exact_layer = k
+            layer = [Node(state, base) for state, base in layer.items()]
+            nodes = dd._nodes = [layer]
 
-        dd.nodes_created += len(layer)
-        # a relaxed diagram keeps its root's children whole, so that its
-        # last exact layer lies below its root
-        if (kind is not DiagramKind.EXACT and len(layer) > width
-                and (k > first or not keep)):
-            if keep:
-                keys = ([(nd.value_top + estimates[nd.state], nd.value_top)
-                         for nd in layer] if rank_by_bound else None)
-                layer = relax_layer(layer, width, relaxation, keys)
-                if len(layer) == width:
-                    # width - 1 kept plus a fresh merge node; a collision
-                    # folds into a kept node instead and creates nothing
-                    dd.nodes_created += 1
-                if dd.last_exact_layer is None:
-                    dd.last_exact_layer = k
+        by_state: dict = {}
+        get = by_state.get
+        for node in layer:
+            base = node.value_top
+            if memo is None:
+                arcs = successors(node.state, k)
             else:
-                items = list(layer.items())
-                keys = ([(v + estimates[state], v) for state, v in items]
-                        if rank_by_bound else list(layer.values()))
-                layer = dict(restrict_layer(items, width, keys))
+                arcs = known(node.state)
+                if arcs is None:
+                    arcs = memo[node.state] = tuple(successors(node.state, k))
+            for value, child_state, weight in arcs:
+                candidate = base + weight
+                if use_rub and not candidate + estimates[child_state] > incumbent:
+                    continue
+                arc = (node, value, weight)
+                child = get(child_state)
+                if child is None:
+                    child = by_state[child_state] = Node(
+                        child_state, candidate, arc, [])
+                elif candidate > child.value_top:
+                    child.value_top = candidate
+                    child.best_arc = arc
+                child.inbound.append(arc)
+        layer = list(by_state.values())
+        dd.nodes_created += len(layer)
+        if len(layer) > dd.max_width:
+            dd.max_width = len(layer)
+        if len(layer) > width:
+            keys = ([(nd.value_top + estimates[nd.state], nd.value_top)
+                     for nd in layer] if rank_by_bound else None)
+            layer = relax_layer(layer, width, relaxation, keys)
+            if len(layer) == width:
+                # width - 1 kept plus a fresh merge node; a collision
+                # folds into a kept node instead and creates nothing
+                dd.nodes_created += 1
             dd.is_exact = False
-        layers.append(layer)
+        nodes.append(layer)
         if not layer:
             break
 
-    if len(layers) == problem.n - first + 1 and layer:
-        if keep:
-            dd._best_terminal = max(layer, key=attrgetter("value_top"))
-            dd.value = dd._best_terminal.value_top
-        else:
+    # `layer` is empty after a dead end, else the terminal layer
+    if layer:
+        if nodes is None:
             dd._terminal = max(layer.items(), key=itemgetter(1))
             dd.value = dd._terminal[1]
+        else:
+            dd._best_terminal = max(layer, key=attrgetter("value_top"))
+            dd.value = dd._best_terminal.value_top
     return dd
 
 
 def best_solution(dd: DecisionDiagram):
     """(value, decision values from the diagram root) of the best terminal path."""
-    if dd._arcs is None:
-        node = dd.best_terminal
-        return None if node is None else (dd.value, _path_to(node))
-    if dd._terminal is None:
+    if dd.value == NEG_INF:
         return None
-    state = dd._terminal[0]
+    if dd._terminal is not None:
+        return dd.value, _prefix(dd._arcs, dd._terminal[0], len(dd._arcs) - 1)
+    return dd.value, _path_to(dd.best_terminal)
+
+
+def _prefix(arcs: List[dict], state, rel: int) -> list:
+    """Decision values along the best arcs of state-keyed layers, from the
+    root to `state` in layer `rel`."""
     values = []
-    for rel in range(len(dd._arcs) - 1, 0, -1):
-        state, value, _ = dd._arcs[rel][state]
+    for rel in range(rel, 0, -1):
+        state, value, _ = arcs[rel][state]
         values.append(value)
     values.reverse()
-    return dd.value, values
+    return values
 
 
 def _path_to(node: Node) -> list:
@@ -435,9 +466,12 @@ def exact_cutset(dd: DecisionDiagram, use_local_bounds: bool = True) -> List[Sub
     if dd.kind is not DiagramKind.RELAXED or dd.is_exact:
         raise ValueError("exact cutset is only defined for inexact relaxed diagrams")
     rel = dd.last_exact_layer - dd.first_layer
-    return [SubProblem(node.state, node.value_top, tuple(_path_to(node)),
+    arcs = dd._arcs
+    return [SubProblem(node.state, node.value_top,
+                       tuple(_path_to(node) if arcs is None
+                             else _prefix(arcs, node.state, rel)),
                        node.local_bound if use_local_bounds else dd.value)
-            for node in dd.layers[rel]]
+            for node in dd._nodes[0]]
 
 
 def compute_local_bounds(dd: DecisionDiagram) -> int:
@@ -449,8 +483,9 @@ def compute_local_bounds(dd: DecisionDiagram) -> int:
     terminal).  A cutset node's local bound is `value_top + value_bot`, the
     value of the best full path through it, an upper bound on anything
     attainable from its state; a dead end's is NEG_INF.  The pass touches
-    only nodes and arcs the compilation created.  Returns the number of node
-    visits, which callers may compare against `dd.nodes_created`.
+    only nodes and arcs the compilation created, all of them `Node`s at or
+    below the last exact layer.  Returns the number of node visits, which
+    callers may compare against `dd.nodes_created`.
     """
     if dd.kind is not DiagramKind.RELAXED:
         raise ValueError("local bounds are computed on relaxed diagrams")
@@ -458,12 +493,12 @@ def compute_local_bounds(dd: DecisionDiagram) -> int:
         raise ValueError("an exact diagram has no cutset to annotate")
 
     visits = 0
-    if dd.best_terminal is not None:
-        for node in dd.layers[-1]:
+    nodes = dd._nodes
+    if dd._best_terminal is not None:
+        for node in nodes[-1]:
             node.value_bot = 0
-        cutoff = dd.last_exact_layer - dd.first_layer
-        for rel in range(len(dd.layers) - 1, cutoff, -1):
-            for node in dd.layers[rel]:
+        for layer in reversed(nodes[1:]):
+            for node in layer:
                 visits += 1
                 bot = node.value_bot
                 if bot == NEG_INF:
@@ -473,8 +508,7 @@ def compute_local_bounds(dd: DecisionDiagram) -> int:
                     if candidate > parent.value_bot:
                         parent.value_bot = candidate
 
-    rel = dd.last_exact_layer - dd.first_layer
-    for node in dd.layers[rel]:
+    for node in nodes[0]:
         visits += 1
         node.local_bound = node.value_top + node.value_bot
     return visits

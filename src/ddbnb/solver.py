@@ -3,19 +3,36 @@
 Open subproblems live on a best-first fringe ordered by upper bound,
 then by value-from-root, then first-in first-out.  Exploring a subproblem
 compiles a restricted diagram (a feasible-solutions sample that may improve
-the incumbent) and, when that diagram had to drop nodes, a relaxed diagram
-whose value bounds the subproblem from above.  If the bound still beats the
-incumbent, the relaxed diagram's last exact layer is enqueued as new
-subproblems.  A relaxed diagram never squeezes the layer right below its
-root, so its last exact layer lies below the root, every branching fixes at
-least one more variable and the search terminates at any width.  The
-diagrams' squeezes rank nodes as the model's `rank_by_bound` says.  One
+the incumbent) and a relaxed diagram whose value bounds the subproblem from
+above.  If the bound still beats the incumbent, the relaxed diagram's last
+exact layer is enqueued as new subproblems.  A relaxed diagram never
+squeezes the layer right below its root, so its last exact layer lies below
+the root, every branching fixes at least one more variable and the search
+terminates at any width.
+
+The order of the two compiles depends on the incumbent.  While there is
+none, as at the root, the restricted diagram comes first: no bound can prune
+against nothing, and its sample gives the search an early solution.  Once
+there is one, the relaxed diagram comes first, compiled against it.  A
+bound that cannot beat the incumbent closes the subproblem, since no sample
+could have improved on it, and the restricted compile is skipped.  So does
+an exact relaxed diagram whose layers all fit the width, after its best
+path is recorded: a restricted diagram would hold the same layers.
+Otherwise the restricted diagram samples the subproblem; if it raised the
+incumbent under rough-bound filtering, the relaxed diagram is compiled
+again against the new incumbent.  Every subproblem thus ends with the
+incumbent, cutset and local bounds of sampling first, and the search
+returns the same value and assignment after the same explorations.  It
+creates fewer diagram nodes on every benchmark workload; on a solve where
+many samples raise the incumbent, the relaxed compiles done twice can cost
+more than the skipped samples saved.
+
+The diagrams' squeezes rank nodes as the model's `rank_by_bound` says.  One
 completion-estimate memo serves every compile of a solve, so
 `Problem.rough_bound` is evaluated once per (layer, state) per solve.  When
 the model sets `memoize_successors`, one successors memo does the same for
-`Problem.successors`: the relaxed compile and the cutset children's
-compiles re-read the expansions of the states that earlier compiles of the
-solve already expanded.
+`Problem.successors`: later compiles re-read the expansions of the states
+that earlier compiles of the solve already expanded.
 
 Two optional filters sharpen this loop:
 
@@ -65,7 +82,9 @@ class SolveConfig:
     workers: int = 1
     # test/diagnostic hooks, called in-line by the search loop; the
     # observer also receives the incumbent the compilation filtered against
-    # (NEG_INF when rough-bound filtering was off)
+    # (NEG_INF when rough-bound filtering was off).  A subproblem closed by
+    # an exact diagram after the root reports kind "relaxed", not
+    # "restricted" (see the module docstring)
     dd_observer: Optional[Callable[[str, DecisionDiagram, SubProblem, float],
                                    None]] = None
     iteration_hook: Optional[Callable[[float, float], None]] = None
@@ -185,16 +204,30 @@ class _Search:
         """Expand one subproblem: record what it solves, enqueue its branches.
 
         Each diagram's nodes and best path are recorded as soon as it is
-        compiled, so a deadline that cuts the relaxed compilation keeps what
-        the restricted one found.
+        compiled, so a deadline that cuts a later compilation keeps what
+        an earlier one found.
         """
         cfg = self.config
         width = diagram_width(self.problem, sub, cfg.width)
-        restricted = self.compile(sub, DiagramKind.RESTRICTED, width)
-        self.improve(sub, best_solution(restricted))
-        if restricted.is_exact:
-            return
-        relaxed = self.compile(sub, DiagramKind.RELAXED, width)
+        if self.incumbent == NEG_INF:
+            restricted = self.compile(sub, DiagramKind.RESTRICTED, width)
+            self.improve(sub, best_solution(restricted))
+            if restricted.is_exact:
+                return
+            relaxed = self.compile(sub, DiagramKind.RELAXED, width)
+        else:
+            relaxed = self.compile(sub, DiagramKind.RELAXED, width)
+            # sample only what the bound leaves open, and only where a
+            # restricted diagram would drop nodes: without a drop it would
+            # hold this diagram's layers and find nothing new
+            if relaxed.value > self.incumbent and relaxed.max_width > width:
+                before = self.incumbent
+                restricted = self.compile(sub, DiagramKind.RESTRICTED, width)
+                self.improve(sub, best_solution(restricted))
+                if cfg.use_rub and self.incumbent > before:
+                    # filter against the new incumbent, as a relaxed
+                    # diagram compiled after the restricted one would
+                    relaxed = self.compile(sub, DiagramKind.RELAXED, width)
         if relaxed.is_exact:
             # the rough-bound filter kept every layer within the width limit,
             # so this diagram holds every completion that can beat the

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from ddbnb import cli
+from ddbnb import SolveConfig, cli, solve
 from ddbnb.cli import main
 
 
@@ -68,6 +68,18 @@ def test_solve_json_fields(misp_file, capsys):
     assert payload["gap"] == 0.0
     assert set(payload) >= {"objective", "bound", "explored", "seconds",
                             "problem", "instance"}
+
+
+def test_solve_json_reports_the_diagram_nodes(misp_file, capsys):
+    for rub in ("on", "off"):
+        code, out, _ = run_cli("solve", "misp", str(misp_file), "--rub", rub,
+                               "--locb", "off", "--width", "2", "--json",
+                               capsys=capsys)
+        assert code == 0
+        problem, relaxation = cli.LOADERS["misp"](misp_file.read_text())
+        outcome = solve(problem, relaxation, SolveConfig(
+            width=2, use_rub=rub == "on", use_locb=False))
+        assert json.loads(out)["dd_nodes"] == outcome.dd_nodes > 0
 
 
 def test_solve_configs_agree(misp_file, capsys):

@@ -363,7 +363,7 @@ def test_a_shared_bound_memo_changes_no_layer(name, monkeypatch):
 
     for callback in calls:
         setattr(problem, callback, counted(callback, getattr(problem, callback)))
-    runs = {}
+    runs, cuts = {}, 0
     for memo in ("direct", "fresh", "shared", "capped"):
         if memo == "capped":
             monkeypatch.setattr(mdd, "BOUND_MEMO_ENTRIES", 2 * (problem.n + 1))
@@ -380,16 +380,21 @@ def test_a_shared_bound_memo_changes_no_layer(name, monkeypatch):
             return kept
 
         calls.update(rough_bound=0, successors=0)
-        runs[memo] = [layer_signature(compile_diagram(
-            problem, relaxation, sub, kind, 3, best - 2, True,
-            rank_by_bound=rank, **memos()))
-            for sub in subs
-            for kind in (DiagramKind.RESTRICTED, DiagramKind.RELAXED)
-            for rank in (False, True)], dict(calls)
+        dds = [compile_diagram(problem, relaxation, sub, kind, 3, best - 2,
+                               True, rank_by_bound=rank, **memos())
+               for sub in subs
+               for kind in (DiagramKind.RESTRICTED, DiagramKind.RELAXED)
+               for rank in (False, True)]
+        # a relaxed diagram expands its last exact layer twice, as state-keyed
+        # layers and as Nodes; a memo serves the second expansion
+        cuts = sum(len(dd.layers[dd.last_exact_layer - dd.first_layer])
+                   for dd in dds if dd.last_exact_layer is not None)
+        runs[memo] = list(map(layer_signature, dds)), dict(calls)
     assert (runs["direct"][0] == runs["fresh"][0] == runs["shared"][0]
             == runs["capped"][0])
     direct, fresh, shared, capped = (runs[memo][1] for memo in runs)
-    assert direct == fresh
+    assert direct["rough_bound"] == fresh["rough_bound"]
+    assert direct["successors"] == fresh["successors"] + cuts
     for callback in calls:
         assert 0 < shared[callback] < capped[callback], callback
         assert shared[callback] < fresh[callback], callback
@@ -402,31 +407,42 @@ def test_compile_rejects_zero_width():
 
 
 # ---------------------------------------------------------------------------
-# node representations: relaxed diagrams build Nodes, the other kinds build
-# state-keyed layers and a Node view on first read
+# node representations: a relaxed diagram builds Nodes from its last exact
+# layer down, every other layer is state-keyed, with a Node view on first read
 
 
 @pytest.mark.parametrize("name,n", [("misp", 40), ("tsptw", 11)])
 def test_only_relaxed_compiles_construct_nodes(name, n, monkeypatch):
-    constructed = 0
+    built = []
 
     class Counted(Node):
         def __init__(self, *args, **kwargs):
-            nonlocal constructed
-            constructed += 1
             super().__init__(*args, **kwargs)
+            built.append(self)
 
     monkeypatch.setattr(mdd, "Node", Counted)
-    created = {"restricted": 0, "relaxed": 0}
+    seen = 0
+    with_nodes = {"restricted": 0, "relaxed": 0}
 
     def observe(kind, dd, sub, incumbent):
-        created[kind] += dd.nodes_created
+        nonlocal seen
+        fresh = built[seen:]            # the Nodes this compile built
+        if dd.last_exact_layer is None:
+            assert not fresh
+        else:
+            with_nodes[kind] += 1
+            cut = dd.last_exact_layer - dd.first_layer
+            below = {id(node) for layer in dd.layers[cut:] for node in layer}
+            above = sum(map(len, dd.layers[:cut]))
+            assert len(fresh) == dd.nodes_created - above
+            assert below <= {id(node) for node in fresh}
+        seen = len(built)               # skip the Nodes of the view
 
     _, problem, relaxation = make_problem(name, 0, n)
     out = solve(problem, relaxation, SolveConfig(use_rub=False, use_locb=False,
                                                  dd_observer=observe))
-    assert out.optimal and created["restricted"] > 0 < created["relaxed"]
-    assert constructed == created["relaxed"]
+    assert out.optimal
+    assert with_nodes["relaxed"] > 0 == with_nodes["restricted"]
 
 
 def path_of(node):
@@ -441,11 +457,17 @@ def path_of(node):
 
 @pytest.mark.parametrize("name", PROBLEMS)
 def test_the_node_view_replays_the_best_solution(name):
+    joins = 0
     for seed in range(3):
         _, problem, relaxation = make_problem(name, seed, 9)
         for kind, width in [(DiagramKind.EXACT, 0), (DiagramKind.RESTRICTED, 1),
-                            (DiagramKind.RESTRICTED, 3)]:
+                            (DiagramKind.RESTRICTED, 3), (DiagramKind.RELAXED, 1),
+                            (DiagramKind.RELAXED, 3)]:
             dd = compile_kind(problem, relaxation, kind, width)
+            # a squeezed relaxed diagram's view joins its state-keyed
+            # layers to its Node layers at the last exact layer
+            joined = kind is DiagramKind.RELAXED and not dd.is_exact
+            assert (dd.last_exact_layer is not None) == joined
             value, decisions = best_solution(dd)
             assert dd.best_terminal in dd.layers[-1]
             assert dd.best_terminal.value_top == value == dd.value
@@ -454,3 +476,5 @@ def test_the_node_view_replays_the_best_solution(name):
             assert dd.layers is dd.layers   # built once, then cached
             assert len(dd.layers) == problem.n + 1
             assert sum(map(len, dd.layers)) <= dd.nodes_created
+            joins += joined
+    assert joins > 0

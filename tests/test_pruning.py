@@ -64,12 +64,13 @@ def test_dead_end_cutset_node_gets_neg_inf():
 
 
 def test_rub_filter_strict_boundary():
-    problem = misp.MaxIndependentSet(io.Graph(1, {}, (42,)))
+    problem = misp.MaxIndependentSet(io.Graph(2, {(0, 1): 1}, (42, 0)))
     relaxation = misp.MispRelaxation()
-    # both arcs out of the root lead to the empty mask, whose rough bound is
-    # the arc's value from the root: 0 when skipping the vertex, 42 when
-    # taking it; an arc survives only when that strictly beats the incumbent
-    # (a relaxed diagram keeps every inbound arc; at width 2 nothing merges)
+    # the two arcs out of the root lead to different masks, whose rough
+    # bounds are the arcs' values from the root (vertex 1 weighs nothing):
+    # 0 when skipping vertex 0, 42 when taking it; an arc survives only when
+    # that strictly beats the incumbent (at width 2 nothing is squeezed, so
+    # the first layer holds one node per surviving arc)
     sub = SubProblem(problem.initial_state, problem.initial_value)
     for incumbent, arcs in ((100, []), (NEG_INF, [(0, 0), (1, 42)]),
                             (42, []),  # equality is rejected
@@ -77,8 +78,7 @@ def test_rub_filter_strict_boundary():
         dd = compile_diagram(problem, relaxation, sub, DiagramKind.RELAXED,
                              2, incumbent=incumbent, use_rub=True)
         assert dd.is_exact
-        survivors = [(value, weight) for node in dd.layers[1]
-                     for _, value, weight in node.inbound]
+        survivors = [node.best_arc[1:] for node in dd.layers[1]]
         assert survivors == arcs
         assert dd.value == (42 if arcs else NEG_INF)
 

@@ -3,13 +3,14 @@ from collections import Counter
 
 import pytest
 
-from ddbnb import (Fringe, NEG_INF, POS_INF, SolveConfig, Status, SubProblem,
-                   best_solution, brute_force_optimum, end_gap,
-                   evaluate_assignment, solve)
+from ddbnb import (DiagramKind, Fringe, NEG_INF, POS_INF, SolveConfig, Status,
+                   SubProblem, best_solution, brute_force_optimum,
+                   compile_diagram, compute_local_bounds, end_gap,
+                   evaluate_assignment, exact_cutset, solve)
 from ddbnb import instances as io
 from ddbnb.cli import main as cli_main
-from ddbnb.problems import tsptw
-from ddbnb.solver import _Search
+from ddbnb.problems import misp, tsptw
+from ddbnb.solver import _Search, diagram_width
 
 from support import make_problem
 
@@ -399,3 +400,141 @@ def test_config_rejects_nan_timeout_and_width_below_one():
         SolveConfig(timeout=float("nan"))
     assert SolveConfig(width=1, timeout=float("inf")).width == 1
     assert SolveConfig(timeout=0.0).timeout == 0.0
+
+
+def restricted_first(problem, relaxation, width, use_rub, use_locb):
+    """The search with every subproblem's restricted diagram compiled
+    before its relaxed one: (value, assignment, explored, dd_nodes)."""
+    fringe = Fringe()
+    fringe.push(SubProblem(problem.initial_state, problem.initial_value))
+    incumbent, assignment, explored, nodes = NEG_INF, None, 0, 0
+
+    def compile(sub, kind):
+        nonlocal nodes
+        dd = compile_diagram(problem, relaxation, sub, kind,
+                             diagram_width(problem, sub, width), incumbent,
+                             use_rub, rank_by_bound=problem.rank_by_bound)
+        nodes += dd.nodes_created
+        found = best_solution(dd)
+        return dd, found and found[0] > incumbent and found
+
+    while fringe:
+        sub = fringe.pop()
+        explored += 1
+        if use_locb and sub.ub <= incumbent:
+            continue
+        restricted, found = compile(sub, DiagramKind.RESTRICTED)
+        if found:
+            incumbent, assignment = found[0], list(sub.path) + found[1]
+        if restricted.is_exact:
+            continue
+        relaxed, found = compile(sub, DiagramKind.RELAXED)
+        if relaxed.is_exact:
+            if found:
+                incumbent, assignment = found[0], list(sub.path) + found[1]
+            continue
+        if relaxed.value <= incumbent:
+            continue
+        if use_locb:
+            compute_local_bounds(relaxed)
+        for child in exact_cutset(relaxed, use_local_bounds=use_locb):
+            child.ub = min(child.ub, sub.ub)
+            if not (use_locb and child.ub <= incumbent):
+                child.path = sub.path + child.path
+                fringe.push(child)
+    return incumbent, assignment, explored, nodes
+
+
+def compiles_by_exploration(config):
+    """Hooks `config` to record, per explored subproblem, the incumbent at
+    its pop and the (kind, diagram) of each of its compiles."""
+    explorations = []
+    config.iteration_hook = lambda incumbent, bound: explorations.append(
+        (incumbent, []))
+    config.dd_observer = lambda kind, dd, sub, incumbent: (
+        explorations[-1][1].append((kind, dd)))
+    return explorations
+
+
+def check_against_restricted_first(problem, relaxation, widths):
+    """Solves under every config at each width and compares with
+    `restricted_first`; returns the diagram nodes saved."""
+    saved = 0
+    for width in widths:
+        for use_rub, use_locb in ALL_CONFIGS:
+            config = SolveConfig(width=width, use_rub=use_rub,
+                                 use_locb=use_locb)
+            explorations = compiles_by_exploration(config)
+            out = solve(problem, relaxation, config)
+            value, assignment, explored, nodes = restricted_first(
+                problem, relaxation, width, use_rub, use_locb)
+            case = (width, use_rub, use_locb)
+            assert out.optimal, case
+            assert (out.value, out.assignment, out.explored) == (
+                value, assignment, explored), case
+            again = sum(compiles[0][1].nodes_created
+                        for _, compiles in explorations if len(compiles) == 3)
+            assert out.dd_nodes - again <= nodes, case
+            saved += nodes - out.dd_nodes
+    return saved
+
+
+@pytest.mark.parametrize("name", PROBLEMS)
+def test_bounding_first_matches_the_restricted_first_search(name):
+    # once an incumbent exists a subproblem's relaxed diagram is compiled
+    # first; the search finds the same value and assignment after the same
+    # explorations, and creates no more nodes, apart from the relaxed
+    # diagrams compiled again after a restricted one raised the incumbent
+    saved = 0
+    for seed in range(3):
+        _, problem, relaxation = make_problem(
+            name, seed, 18 if name == "misp" else 9)
+        saved += check_against_restricted_first(problem, relaxation,
+                                                (1, 2, 3, None))
+    assert saved > 0
+
+
+def test_an_exact_bound_with_an_overflowing_first_layer_still_samples():
+    # at width 1, a subproblem's exact relaxed diagram keeps two nodes
+    # below its root, where a restricted diagram keeps one; the optimum
+    # has paths through both, and the restricted diagram's path is the one
+    # returned, as in the restricted-first search
+    graph = io.Graph(5, {(0, 1): 1, (0, 2): 1, (0, 3): 1, (1, 2): 1},
+                     (1, 1, 1, 1, 0))
+    problem, relaxation = misp.MaxIndependentSet(graph), misp.MispRelaxation()
+    check_against_restricted_first(problem, relaxation, (1,))
+    assert solve(problem, relaxation, SolveConfig(width=1)).assignment == [
+        0, 1, 0, 1, 0]
+
+
+@pytest.mark.parametrize("name", PROBLEMS)
+def test_no_restricted_compile_follows_a_pruning_bound(name):
+    # the root, with no incumbent yet, samples first; every later
+    # subproblem is bounded first, and one whose relaxed value cannot beat
+    # the incumbent compiles nothing else
+    pruned = 0
+    for seed in range(2):
+        _, problem, relaxation = make_problem(name, seed, 12)
+        for width in (2, None):
+            for use_rub, use_locb in ALL_CONFIGS:
+                config = SolveConfig(width=width, use_rub=use_rub,
+                                     use_locb=use_locb)
+                explorations = compiles_by_exploration(config)
+                assert solve(problem, relaxation, config).optimal
+                assert explorations[0][1][0][0] == "restricted"
+                for incumbent, compiles in explorations:
+                    if not compiles:
+                        continue        # dropped at its pop by LocB
+                    kinds = [kind for kind, _ in compiles]
+                    if incumbent == NEG_INF:
+                        assert kinds[0] == "restricted"
+                        continue
+                    assert kinds[0] == "relaxed"
+                    if compiles[0][1].value <= incumbent:
+                        assert kinds == ["relaxed"]
+                        pruned += 1
+                    else:
+                        assert kinds in (["relaxed"],
+                                         ["relaxed", "restricted"],
+                                         ["relaxed", "restricted", "relaxed"])
+    assert pruned > 0
