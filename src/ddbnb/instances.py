@@ -22,7 +22,7 @@ Integers in [lo, hi] are drawn as lo + next() % (hi - lo + 1), and floats in
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 MASK64 = (1 << 64) - 1
 
@@ -139,6 +139,34 @@ class TsptwInstance:
             for p in range(n)
         )
         return TsptwInstance(n, dist, windows, shortest)
+
+
+def relabel_graph(graph: Graph, order: Sequence[int]) -> Graph:
+    """`graph` with vertex order[k] renumbered k (`order` a permutation)."""
+    new = [0] * graph.n
+    for k, v in enumerate(order):
+        new[v] = k
+    edges = {}
+    for (u, v), w in graph.edges.items():
+        u, v = new[u], new[v]
+        edges[(u, v) if u < v else (v, u)] = w
+    return Graph(graph.n, edges, tuple(graph.vertex_weights[v] for v in order))
+
+
+def relabel_formula(formula: CnfFormula, order: Sequence[int]) -> CnfFormula:
+    """`formula` with variable order[k] renumbered k (`order` a permutation
+    of 0-based variables; literals stay 1-based)."""
+    # new[lit] is the renumbered literal of either sign: a negative literal
+    # indexes from the end of the list
+    n = formula.n_vars
+    new = [0] * (2 * n + 1)
+    for k, var in enumerate(order, start=1):
+        new[var + 1] = k
+        new[-var - 1] = -k
+    return CnfFormula(n, tuple(
+        (weight, (new[lits[0]],) if len(lits) == 1
+         else (new[lits[0]], new[lits[1]]))
+        for weight, lits in formula.clauses))
 
 
 # ---------------------------------------------------------------------------

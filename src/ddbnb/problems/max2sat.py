@@ -22,13 +22,19 @@ assignment oracle in the tests is the binding contract.
 The completion bound adds |s_l| for every undecided l, the best pairwise
 payoff among undecided pairs, and the best unit payoff per undecided
 variable.
+
+A `Max2Sat` decides variables in its formula's own index order.  `load`,
+which solves from instance text, first renumbers the formula heaviest
+variable first (descending total weight of the clauses naming it, ties in
+index order) and records the renumbering as `problem.order`, as
+`mcp.load` does.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-from ..instances import CnfFormula
+from ..instances import CnfFormula, parse_wcnf, relabel_formula
 from ..model import Problem
 from .mcp import BenefitVectorRelaxation
 
@@ -167,7 +173,23 @@ class Max2Sat(Problem):
         return value_top + sum(map(abs, state[k:])) + self.rest[k]
 
 
-def load(text: str):
-    from ..instances import parse_wcnf
+def heaviest_first(formula: CnfFormula) -> Tuple[int, ...]:
+    """Variables (0-based) by descending total weight of the clauses that
+    contain them; ties keep index order."""
+    weight = [0] * formula.n_vars
+    for wt, lits in formula.clauses:
+        a = abs(lits[0])
+        weight[a - 1] += wt
+        if len(lits) == 2 and abs(lits[1]) != a:
+            weight[abs(lits[1]) - 1] += wt
+    # a stable sort, reversed stably: equal weights stay in index order
+    return tuple(sorted(range(formula.n_vars), key=weight.__getitem__,
+                        reverse=True))
 
-    return Max2Sat(parse_wcnf(text)), Max2SatRelaxation()
+
+def load(text: str):
+    formula = parse_wcnf(text)
+    order = heaviest_first(formula)
+    problem = Max2Sat(relabel_formula(formula, order))
+    problem.order = order
+    return problem, Max2SatRelaxation()

@@ -11,11 +11,16 @@ purpose updates them and says why: the `dd_nodes` column was re-recorded
 when the search began to compile a subproblem's relaxed diagram before its
 restricted one once an incumbent exists, which skips the restricted
 compiles a pruning bound makes useless; no value or explored count moved.
+`PINNED_LOADED` solves the mcp and max2sat cases of `PINNED_BY_BOUND`
+through `cli.LOADERS`, which renumber an instance heaviest variable first,
+so that a change to that order cannot pass unseen.
 """
 
 import pytest
 
 from ddbnb import SolveConfig, solve
+from ddbnb import instances as io
+from ddbnb.cli import LOADERS
 
 from support import make_problem
 
@@ -68,12 +73,34 @@ PINNED_BY_BOUND = {
         "locb": (477, 5, 519), "rub+locb": (477, 5, 221)},
 }
 
+PINNED_LOADED = {
+    ("mcp", 18, 0.3, 0, None): {
+        "none": (10, 17, 3842), "rub": (10, 17, 3403),
+        "locb": (10, 15, 3461), "rub+locb": (10, 15, 3079)},
+    ("mcp", 18, 0.3, 1, 5): {
+        "none": (12, 21, 2266), "rub": (12, 21, 2160),
+        "locb": (12, 17, 1950), "rub+locb": (12, 17, 1896)},
+    ("max2sat", 12, 0.3, 0, None): {
+        "none": (419, 9, 1034), "rub": (419, 9, 424),
+        "locb": (419, 5, 687), "rub+locb": (419, 5, 385)},
+    ("max2sat", 12, 0.3, 1, 5): {
+        "none": (477, 1, 191), "rub": (477, 1, 124),
+        "locb": (477, 1, 191), "rub+locb": (477, 1, 124)},
+}
 
-def check_counts(case, pinned, rank_by_bound=None):
-    """Solve `case` under every config; `rank_by_bound`, when given,
-    overrides the model's own ranking on the instance."""
+
+def loaded_problem(name, seed, n, density):
+    """The instance of `make_problem`, loaded from its text by `cli.LOADERS`."""
+    instance, _, _ = make_problem(name, seed, n, density)
+    emit = io.emit_graph if name == "mcp" else io.emit_wcnf
+    return (instance, *LOADERS[name](emit(instance)))
+
+
+def check_counts(case, pinned, rank_by_bound=None, build=make_problem):
+    """Solve `case`, built by `build`, under every config; `rank_by_bound`,
+    when given, overrides the model's own ranking on the instance."""
     name, n, density, seed, width = case
-    _, problem, relaxation = make_problem(name, seed, n, density)
+    _, problem, relaxation = build(name, seed, n, density)
     if rank_by_bound is not None:
         problem.rank_by_bound = rank_by_bound
     for config, (use_rub, use_locb) in CONFIGS.items():
@@ -92,3 +119,9 @@ def test_counts_are_pinned(case):
                          ids=lambda c: "-".join(map(str, c)))
 def test_bound_ranked_counts_are_pinned(case):
     check_counts(case, PINNED_BY_BOUND[case])
+
+
+@pytest.mark.parametrize("case", list(PINNED_LOADED),
+                         ids=lambda c: "-".join(map(str, c)))
+def test_loaded_counts_are_pinned(case):
+    check_counts(case, PINNED_LOADED[case], build=loaded_problem)

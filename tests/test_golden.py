@@ -4,8 +4,12 @@ Speed work on the compiler must return the same results, down to which of
 several optimal assignments a solve reports.  The files under `golden/`
 were recorded before the restricted and exact diagrams were compiled as
 state-keyed layers, which rewrote best-path reconstruction and its
-tie-breaking.  A change that alters them on purpose re-records them with
-`PYTHONPATH=src python tests/test_golden.py` and says why.
+tie-breaking.  The CSVs were re-recorded when the mcp and max2sat loaders
+began to renumber an instance heaviest variable first: only the `explored`
+cells of mcp and max2sat rows changed.  The assignments, solved through
+the index-order library models, did not.  A change that alters them on
+purpose re-records them with `PYTHONPATH=src python tests/test_golden.py`
+and says why.
 """
 
 import json
