@@ -40,6 +40,17 @@ incumbent, so values derived from the diagram remain valid for pruning and
 incumbent improvement.  A deadline is
 checked before each layer; once it has passed, `TimeoutError` is raised.
 
+Given the solve's dominance marks (see `dominance_marks` and the solver's
+docstring), a node whose value_top does not beat the mark on its (layer,
+state) is dropped too, once its layer is deduplicated and before it is
+counted or squeezed.  Its completions are the marked node's, at no higher
+value, and that node's subproblem is on the fringe or done.  The filter
+runs on every state-keyed layer and, at a relaxed diagram's first squeeze,
+on the layer being squeezed: the `Node` expansion then builds only the
+children the state-keyed pass kept.  It never runs below a merge, where a
+node's state and value stand for many paths; a layer with no marks skips
+it.
+
 The rough bound of a node is its value-from-root plus a completion estimate
 that depends only on its (layer, state) (see `Problem.rough_bound`).  The
 estimates live in a memo, one `Estimates` dict per layer, that the solver
@@ -278,13 +289,44 @@ def successors_memo(problem: Problem) -> List[dict]:
     return [{} for _ in range(problem.n)]
 
 
+# Entries the dominance marks of a solve may hold, split evenly over their
+# layers like BOUND_MEMO_ENTRIES.  A layer's dict that holds its share is
+# emptied before its next mark, which costs only pruning: a missing mark
+# drops no node.  The benchmark workloads peak near 620 entries per layer
+# and 13,200 per solve; a 10 s solve of a 40-vertex MCP instance holds
+# about 2,200.
+MARK_ENTRIES = 1 << 17
+
+
+def dominance_marks(problem: Problem) -> List[dict]:
+    """Empty dominance marks: one dict per layer 0..n, mapping a state to
+    the value_top of a node that marked it."""
+    return [{} for _ in range(problem.n + 1)]
+
+
+def mark(marks: List[dict], k: int, values: dict) -> None:
+    """Mark layer k's `state -> value_top` pairs in `values`.  Every
+    marked node beats the layer's old mark, so the new values overwrite."""
+    seen = marks[k]
+    if len(seen) >= MARK_ENTRIES // len(marks):
+        seen.clear()
+    seen.update(values)
+
+
+def mark_diagram(marks: List[dict], dd: DecisionDiagram) -> None:
+    """Mark every layer below the root of an exact diagram."""
+    for k, values in enumerate(dd._values[1:], dd.first_layer + 1):
+        mark(marks, k, values)
+
+
 def compile_diagram(problem: Problem, relaxation: Optional[Relaxation],
                     sub: SubProblem, kind: DiagramKind, width: int = 0,
                     incumbent=NEG_INF, use_rub: bool = False,
                     deadline: Optional[float] = None,
                     rank_by_bound: bool = False,
                     bounds: Optional[List[Estimates]] = None,
-                    expansions: Optional[List[dict]] = None) -> DecisionDiagram:
+                    expansions: Optional[List[dict]] = None,
+                    marks: Optional[List[dict]] = None) -> DecisionDiagram:
     """Unroll the subproblem rooted at `sub.state` into a decision diagram.
 
     `width` bounds every layer below the root of a restricted diagram and
@@ -299,7 +341,10 @@ def compile_diagram(problem: Problem, relaxation: Optional[Relaxation],
     completion-estimate memo (see `bound_memo`) shared by the compiles of
     one solve; each compile gets a fresh one by default.  `expansions` is
     a successors memo (see `successors_memo`) shared the same way; by
-    default every node's `successors` is called directly.
+    default every node's `successors` is called directly.  `marks` are the
+    solve's dominance marks (see `dominance_marks`): a node of a layer above
+    the first merge whose value_top does not beat its (layer, state)'s mark
+    is dropped before the layer is counted or squeezed.
     """
     if kind is not DiagramKind.EXACT and width < 1:
         raise ValueError("width-bounded compilation needs width >= 1")
@@ -350,6 +395,14 @@ def compile_diagram(problem: Problem, relaxation: Optional[Relaxation],
                     if old is None or candidate > old:
                         children[child_state] = candidate
                         best[child_state] = (state, value, weight)
+            survivors = None
+            seen = marks and marks[k + 1]
+            if seen:
+                for state in children.keys() & seen.keys():
+                    if children[state] <= seen[state]:
+                        del children[state]
+                        del best[state]
+                        survivors = children
             if len(children) > dd.max_width:
                 dd.max_width = len(children)
             # a relaxed diagram keeps its root's children whole, so that
@@ -372,6 +425,7 @@ def compile_diagram(problem: Problem, relaxation: Optional[Relaxation],
                 continue
             # the first relaxed squeeze: `layer` is the last exact layer;
             # rebuild it as Nodes and expand it again, keeping every arc
+            # into a child state that `survivors`, when set, still holds
             dd.last_exact_layer = k
             layer = [Node(state, base) for state, base in layer.items()]
             nodes = dd._nodes = [layer]
@@ -386,6 +440,8 @@ def compile_diagram(problem: Problem, relaxation: Optional[Relaxation],
                 arcs = known(node.state)
                 if arcs is None:
                     arcs = memo[node.state] = tuple(successors(node.state, k))
+            if survivors is not None:
+                arcs = [arc for arc in arcs if arc[1] in survivors]
             for value, child_state, weight in arcs:
                 candidate = base + weight
                 if use_rub and not candidate + estimates[child_state] > incumbent:
@@ -400,6 +456,7 @@ def compile_diagram(problem: Problem, relaxation: Optional[Relaxation],
                     child.best_arc = arc
                 child.inbound.append(arc)
         layer = list(by_state.values())
+        survivors = None                # never filter below a merge
         dd.nodes_created += len(layer)
         if len(layer) > dd.max_width:
             dd.max_width = len(layer)

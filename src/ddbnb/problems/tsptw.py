@@ -18,7 +18,15 @@ the return leg with the single value 0.  A state carries
 On exact (never-merged) states position is a singleton, earliest equals
 latest and may is empty, which collapses to the classical makespan DP.
 Merging unions position and may, intersects must and keeps the widest time
-interval.  Redirected arcs keep their weight.
+interval.  An arc's weight, minus travel and wait, is the parent's earliest
+arrival minus the child's, so every path's value telescopes to -earliest of
+its last state.  A redirected arc is re-based the same way: its weight grows
+by its old head's earliest minus the merge's, so the paths through the merge
+also telescope to -earliest of their last state.  With the old weight, a
+path through a later-arriving node would lose the gap between that node's
+earliest and the merge's, since the arcs below the merge start from the
+merge's earliest; local bounds, which sum those arcs, could then fall below
+the optimum and prune it.
 
 The completion bound underestimates the remaining work with per-city cheapest
 inbound edges.  It prunes (returns the NEG_INF sentinel) when too few
@@ -210,6 +218,10 @@ class TsptwRelaxation(Relaxation):
             earliest = s.earliest if earliest is None else min(earliest, s.earliest)
             latest = s.latest if latest is None else max(latest, s.latest)
         return TsptwState(position, earliest, latest, must, pool & ~must)
+
+    def relax_arc(self, weight, head_state: TsptwState,
+                  merged_state: TsptwState):
+        return weight + head_state.earliest - merged_state.earliest
 
 
 def load(text: str):

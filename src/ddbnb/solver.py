@@ -34,6 +34,27 @@ the model sets `memoize_successors`, one successors memo does the same for
 `Problem.successors`: later compiles re-read the expansions of the states
 that earlier compiles of the solve already expanded.
 
+Every solve keeps dominance marks, one dict per layer mapping a state to a
+value (Coppé, Gillard & Schaus, "Decision diagram-based branch-and-bound
+with caching for dominance and suboptimality detection", 2024).  A mark
+(k, s, v) is written for each cutset child pushed onto the fringe, at its
+layer k = len(path), and for each node below the root of an exact diagram
+that closes its subproblem: a restricted one that ends the exploration, or
+the relaxed one the exploration ends with.  Compiles drop every node of
+layer k and state s whose value_top is at most v, above their first merge
+(see `compile_diagram`).  This is sound: each completion of the dropped
+node is also a completion of the marked node, at no lower value.  A pushed
+node's subproblem is explored later, or pruned by a bound that covers that
+completion too; an exact closing diagram held every completion of its nodes
+that could beat the incumbent, which has only grown since.  The marked node
+may in turn drop that completion's tail, but only at a deeper layer, so the
+chain of hand-offs ends.  Marks are written only after an exploration's
+last compile; an exact relaxed diagram that goes on to sample is marked, if
+at all, only once the exploration ends, since marks written before its
+restricted compile would drop all of that sample's nodes.  A node kept by a
+compile beats its mark, so new marks overwrite old ones.  The marks never
+change a returned value, only which subproblems are explored.
+
 Two optional filters sharpen this loop:
 
   * rough-bound filtering (`use_rub`) discards doomed nodes inside both
@@ -62,7 +83,8 @@ from typing import Callable, List, Optional
 
 from .mdd import (DecisionDiagram, DiagramKind, SubProblem, best_solution,
                   bound_memo, compile_diagram, compute_local_bounds,
-                  exact_cutset, successors_memo)
+                  dominance_marks, exact_cutset, mark, mark_diagram,
+                  successors_memo)
 from .model import NEG_INF, POS_INF, Problem, Relaxation
 
 
@@ -84,7 +106,8 @@ class SolveConfig:
     # observer also receives the incumbent the compilation filtered against
     # (NEG_INF when rough-bound filtering was off).  A subproblem closed by
     # an exact diagram after the root reports kind "relaxed", not
-    # "restricted" (see the module docstring)
+    # "restricted" (see the module docstring).  Observed diagrams omit the
+    # nodes the solve's dominance marks dropped
     dd_observer: Optional[Callable[[str, DecisionDiagram, SubProblem, float],
                                    None]] = None
     iteration_hook: Optional[Callable[[float, float], None]] = None
@@ -161,7 +184,8 @@ class Fringe:
 
 class _Search:
     """State of one solve call: the fringe, the incumbent, the
-    completion-estimate and successors memos and the counters."""
+    completion-estimate and successors memos, the dominance marks and the
+    counters."""
 
     def __init__(self, problem: Problem, relaxation: Relaxation,
                  config: SolveConfig):
@@ -173,6 +197,7 @@ class _Search:
         self.bounds = bound_memo(problem)
         self.expansions = (successors_memo(problem)
                            if problem.memoize_successors else None)
+        self.marks = dominance_marks(problem)
         self.incumbent = NEG_INF
         self.assignment: Optional[list] = None
         self.explored = 0
@@ -193,7 +218,8 @@ class _Search:
                              deadline=self.deadline,
                              rank_by_bound=self.rank_by_bound,
                              bounds=self.bounds,
-                             expansions=self.expansions)
+                             expansions=self.expansions,
+                             marks=self.marks)
         self.dd_nodes += dd.nodes_created
         if cfg.dd_observer:
             cfg.dd_observer(kind.value, dd, sub,
@@ -213,6 +239,7 @@ class _Search:
             restricted = self.compile(sub, DiagramKind.RESTRICTED, width)
             self.improve(sub, best_solution(restricted))
             if restricted.is_exact:
+                mark_diagram(self.marks, restricted)
                 return
             relaxed = self.compile(sub, DiagramKind.RELAXED, width)
         else:
@@ -231,13 +258,17 @@ class _Search:
         if relaxed.is_exact:
             # the rough-bound filter kept every layer within the width limit,
             # so this diagram holds every completion that can beat the
-            # incumbent and its best path is a feasible solution
+            # incumbent and its best path is a feasible solution.  It is
+            # marked only now, after any sample: marked before, it would
+            # dominate every node of the restricted diagram
             self.improve(sub, best_solution(relaxed))
+            mark_diagram(self.marks, relaxed)
             return
         if relaxed.value <= self.incumbent:
             return
         if cfg.use_locb:
             compute_local_bounds(relaxed)
+        pushed = {}
         for child in exact_cutset(relaxed, use_local_bounds=cfg.use_locb):
             # inherit the parent's bound when it is tighter, so the global
             # bound can only shrink
@@ -247,6 +278,8 @@ class _Search:
                 continue
             child.path = sub.path + child.path
             self.fringe.push(child)
+            pushed[child.state] = child.value_top
+        mark(self.marks, relaxed.last_exact_layer, pushed)
 
     def run(self) -> None:
         cfg = self.config

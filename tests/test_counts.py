@@ -11,6 +11,11 @@ purpose updates them and says why: the `dd_nodes` column was re-recorded
 when the search began to compile a subproblem's relaxed diagram before its
 restricted one once an incumbent exists, which skips the restricted
 compiles a pruning bound makes useless; no value or explored count moved.
+The misp, mcp and tsptw rows of `PINNED` were re-recorded twice more, with
+every value unchanged: when compiles began to drop the nodes that a solve's
+dominance marks cover (see `ddbnb.solver`), and when TSPTW's redirected
+arcs began to be re-based on the merged state's earliest arrival, which
+makes its local bounds sound and weaker (its `locb` rows explore more).
 `PINNED_LOADED` solves the mcp and max2sat cases of `PINNED_BY_BOUND`
 through `cli.LOADERS`, which renumber an instance heaviest variable first,
 so that a change to that order cannot pass unseen.
@@ -32,16 +37,16 @@ CONFIGS = {"none": (False, False), "rub": (True, False),
 #     the number of unfixed variables
 PINNED = {
     ("misp", 60, 0.5, 0, None): {
-        "none": (26, 90, 40912), "rub": (26, 1, 3896),
-        "locb": (26, 68, 35991), "rub+locb": (26, 1, 3896)},
+        "none": (26, 90, 31140), "rub": (26, 1, 3896),
+        "locb": (26, 76, 29812), "rub+locb": (26, 1, 3896)},
     ("misp", 60, 0.5, 1, 5): {
-        "none": (23, 230, 45915), "rub": (23, 43, 5674),
-        "locb": (23, 190, 41742), "rub+locb": (23, 38, 5571)},
+        "none": (23, 231, 41515), "rub": (23, 43, 5674),
+        "locb": (23, 190, 38758), "rub+locb": (23, 38, 5571)},
     ("mcp", 18, 0.3, 0, None): {
-        "none": (10, 201, 29534), "rub": (10, 201, 28052),
+        "none": (10, 201, 29534), "rub": (10, 201, 28050),
         "locb": (10, 92, 17391), "rub+locb": (10, 92, 17314)},
     ("mcp", 18, 0.3, 1, 5): {
-        "none": (12, 257, 22639), "rub": (12, 257, 20741),
+        "none": (12, 257, 22579), "rub": (12, 257, 20669),
         "locb": (12, 145, 12676), "rub+locb": (12, 145, 12329)},
     ("max2sat", 12, 0.3, 0, None): {
         "none": (419, 49, 2994), "rub": (419, 9, 504),
@@ -51,10 +56,10 @@ PINNED = {
         "locb": (477, 10, 853), "rub+locb": (477, 8, 521)},
     ("tsptw", 12, 0.5, 0, None): {
         "none": (-326, 61, 4717), "rub": (-326, 1, 15),
-        "locb": (-326, 26, 4352), "rub+locb": (-326, 1, 15)},
+        "locb": (-326, 58, 4708), "rub+locb": (-326, 1, 15)},
     ("tsptw", 12, 0.5, 2, None): {
-        "none": (-350, 31, 3788), "rub": (-350, 1, 15),
-        "locb": (-350, 22, 3733), "rub+locb": (-350, 1, 15)},
+        "none": (-350, 31, 3758), "rub": (-350, 1, 15),
+        "locb": (-350, 28, 3755), "rub+locb": (-350, 1, 15)},
 }
 
 

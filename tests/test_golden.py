@@ -7,7 +7,10 @@ state-keyed layers, which rewrote best-path reconstruction and its
 tie-breaking.  The CSVs were re-recorded when the mcp and max2sat loaders
 began to renumber an instance heaviest variable first: only the `explored`
 cells of mcp and max2sat rows changed.  The assignments, solved through
-the index-order library models, did not.  A change that alters them on
+the index-order library models, did not.  They were re-recorded again
+when TSPTW's redirected arcs began to be re-based on the merged state's
+earliest arrival: only the `explored` cells of tsptw `locb` rows changed,
+since sound local bounds prune less.  A change that alters them on
 purpose re-records them with `PYTHONPATH=src python tests/test_golden.py`
 and says why.
 """

@@ -1,3 +1,4 @@
+import itertools
 import time
 from collections import Counter
 
@@ -8,6 +9,7 @@ from ddbnb import (DiagramKind, Fringe, NEG_INF, POS_INF, SolveConfig, Status,
                    compile_diagram, compute_local_bounds, end_gap,
                    evaluate_assignment, exact_cutset, solve)
 from ddbnb import instances as io
+from ddbnb import mdd, solver
 from ddbnb.cli import main as cli_main
 from ddbnb.problems import misp, tsptw
 from ddbnb.solver import _Search, diagram_width
@@ -262,6 +264,15 @@ def test_workers_agree_with_single_thread(tmp_path):
     assert len(csvs[0].splitlines()) == 1 + 4 * 4  # four problems, configs
 
 
+def rooted_search(problem, relaxation, config):
+    """The state of a solve with its root on the fringe, not yet run, so
+    that hooks can read its memos and marks."""
+    search = _Search(problem, relaxation, config)
+    search.fringe.push(SubProblem(problem.initial_state, problem.initial_value,
+                                  (), POS_INF))
+    return search
+
+
 @pytest.mark.parametrize("name", PROBLEMS)
 def test_memo_holds_each_states_own_estimate_at_its_layer(name):
     # after whole rub+locb solves, at width 1 too, every memo entry is
@@ -278,9 +289,7 @@ def test_memo_holds_each_states_own_estimate_at_its_layer(name):
                 return bound(state, value_top, k)
 
             problem.rough_bound = counted
-            search = _Search(problem, relaxation, SolveConfig(width=width))
-            search.fringe.push(SubProblem(problem.initial_state,
-                                          problem.initial_value, (), POS_INF))
+            search = rooted_search(problem, relaxation, SolveConfig(width=width))
             search.run()
             entries = sum(len(estimates) for estimates in search.bounds)
             assert 0 < len(calls) == entries, (seed, width)
@@ -293,10 +302,11 @@ def test_memo_holds_each_states_own_estimate_at_its_layer(name):
 @pytest.mark.parametrize("name", PROBLEMS)
 def test_relaxed_diagrams_keep_their_roots_children(name):
     # at every width, a relaxed diagram's first layer holds one node per
-    # distinct state among the root's successors that survive RUB, at the
-    # best value into it, and an inexact one's last exact layer lies below
-    # its root, so a branching never hands back its own subproblem
-    inexact = 0
+    # distinct state among the root's successors that survive RUB and beat
+    # the solve's mark on their state, at the best value into it, and an
+    # inexact one's last exact layer lies below its root, so a branching
+    # never hands back its own subproblem
+    inexact = dominated = 0
     for seed in range(3):
         _, problem, relaxation = make_problem(name, seed, 7)
         best, _ = brute_force_optimum(problem)
@@ -304,7 +314,7 @@ def test_relaxed_diagrams_keep_their_roots_children(name):
             for use_rub, use_locb in ALL_CONFIGS:
 
                 def observer(kind, dd, sub, incumbent):
-                    nonlocal inexact
+                    nonlocal inexact, dominated
                     if kind != "relaxed":
                         return
                     if not dd.is_exact:
@@ -319,17 +329,25 @@ def test_relaxed_diagrams_keep_their_roots_children(name):
                             continue
                         children[state] = max(children.get(state, NEG_INF),
                                               value)
+                    seen = search.marks[k + 1]
+                    for state, value in list(children.items()):
+                        if value <= seen.get(state, NEG_INF):
+                            del children[state]
+                            dominated += 1
                     first = {node.state: node.value_top
                              for node in dd.layers[1]}
                     assert len(first) == len(dd.layers[1])
                     assert first == children
 
-                out = solve(problem, relaxation,
-                            SolveConfig(width=width, use_rub=use_rub,
-                                        use_locb=use_locb,
-                                        dd_observer=observer))
-                assert out.optimal and out.value == best
+                search = rooted_search(
+                    problem, relaxation,
+                    SolveConfig(width=width, use_rub=use_rub,
+                                use_locb=use_locb, dd_observer=observer))
+                search.run()
+                assert search.incumbent == best
     assert inexact > 0
+    # at these sizes only misp subproblems reach marked children
+    assert dominated > 0 or name != "misp"
 
 
 @pytest.mark.parametrize("name", PROBLEMS)
@@ -404,16 +422,20 @@ def test_config_rejects_nan_timeout_and_width_below_one():
 
 def restricted_first(problem, relaxation, width, use_rub, use_locb):
     """The search with every subproblem's restricted diagram compiled
-    before its relaxed one: (value, assignment, explored, dd_nodes)."""
+    before its relaxed one: (value, assignment, explored, dd_nodes).  It
+    marks the exact diagrams that close a subproblem and the cutset
+    children it pushes, as the solver does."""
     fringe = Fringe()
     fringe.push(SubProblem(problem.initial_state, problem.initial_value))
     incumbent, assignment, explored, nodes = NEG_INF, None, 0, 0
+    marks = mdd.dominance_marks(problem)
 
     def compile(sub, kind):
         nonlocal nodes
         dd = compile_diagram(problem, relaxation, sub, kind,
                              diagram_width(problem, sub, width), incumbent,
-                             use_rub, rank_by_bound=problem.rank_by_bound)
+                             use_rub, rank_by_bound=problem.rank_by_bound,
+                             marks=marks)
         nodes += dd.nodes_created
         found = best_solution(dd)
         return dd, found and found[0] > incumbent and found
@@ -427,11 +449,13 @@ def restricted_first(problem, relaxation, width, use_rub, use_locb):
         if found:
             incumbent, assignment = found[0], list(sub.path) + found[1]
         if restricted.is_exact:
+            mdd.mark_diagram(marks, restricted)
             continue
         relaxed, found = compile(sub, DiagramKind.RELAXED)
         if relaxed.is_exact:
             if found:
                 incumbent, assignment = found[0], list(sub.path) + found[1]
+            mdd.mark_diagram(marks, relaxed)
             continue
         if relaxed.value <= incumbent:
             continue
@@ -442,6 +466,7 @@ def restricted_first(problem, relaxation, width, use_rub, use_locb):
             if not (use_locb and child.ub <= incumbent):
                 child.path = sub.path + child.path
                 fringe.push(child)
+                mdd.mark(marks, len(child.path), {child.state: child.value_top})
     return incumbent, assignment, explored, nodes
 
 
@@ -538,3 +563,74 @@ def test_no_restricted_compile_follows_a_pruning_bound(name):
                                          ["relaxed", "restricted"],
                                          ["relaxed", "restricted", "relaxed"])
     assert pruned > 0
+
+
+def test_marks_change_only_between_explorations():
+    # every compile of an exploration reads the marks the exploration began
+    # with, and every node it keeps above its first merge beats its (layer,
+    # state)'s mark.  So an exact relaxed diagram whose first layer
+    # overflowed, and which therefore samples next, is not marked before
+    # its restricted compile: that compile's nodes would all be dominated
+    # and the sample would find nothing
+    sampled = 0
+    for name, seed in itertools.product(PROBLEMS, range(3)):
+        _, problem, relaxation = make_problem(name, seed, 9)
+        for width in (1, 2, None):
+            for use_rub, use_locb in ALL_CONFIGS:
+                before, kinds = [], []
+
+                def hook(incumbent, bound):
+                    before[:] = [dict(seen) for seen in search.marks]
+                    kinds.clear()
+
+                def observer(kind, dd, sub, incumbent):
+                    nonlocal sampled
+                    assert search.marks == before
+                    sampled += kinds == [("relaxed", True)]
+                    kinds.append((kind, dd.is_exact))
+                    cut = (len(dd.layers) if dd.last_exact_layer is None
+                           else dd.last_exact_layer - dd.first_layer + 1)
+                    for rel in range(1, cut):
+                        seen = before[dd.first_layer + rel]
+                        for node in dd.layers[rel]:
+                            assert node.value_top > seen.get(node.state,
+                                                             NEG_INF)
+
+                search = rooted_search(
+                    problem, relaxation,
+                    SolveConfig(width=width, use_rub=use_rub,
+                                use_locb=use_locb, dd_observer=observer,
+                                iteration_hook=hook))
+                search.run()
+                assert search.incumbent == brute_force_optimum(problem)[0]
+    assert sampled > 0
+
+
+@pytest.mark.parametrize("name", PROBLEMS)
+def test_capped_marks_still_reach_the_optimum(name, monkeypatch):
+    # a layer's marks are emptied once they hold their share of
+    # MARK_ENTRIES, here two entries; that loses pruning, never a solution
+    from support import oracle_optimum
+
+    cleared = 0
+
+    class Marks(dict):
+        def clear(self):
+            nonlocal cleared
+            cleared += 1
+            super().clear()
+
+    monkeypatch.setattr(solver, "dominance_marks", lambda problem: [
+        Marks() for _ in range(problem.n + 1)])
+    for seed in range(3):
+        instance, problem, relaxation = make_problem(name, seed, 9)
+        monkeypatch.setattr(mdd, "MARK_ENTRIES", 2 * (problem.n + 1))
+        best = oracle_optimum(name, instance)
+        for width in (1, 2, None):
+            for use_rub, use_locb in ALL_CONFIGS:
+                out = solve(problem, relaxation,
+                            SolveConfig(width=width, use_rub=use_rub,
+                                        use_locb=use_locb))
+                assert out.optimal and out.value == (
+                    NEG_INF if best is None else best), (seed, width)
+    assert cleared > 0

@@ -63,7 +63,9 @@ def test_merge_operator_shapes():
     other = TsptwState(0b001, 0, 5, 0b010, 0)
     merged = relaxation.merge([shared, other])
     assert merged.must == 0b010  # the common mandatory city stays mandatory
-    assert relaxation.relax_arc(9, a, merged) == 9
+    # a redirected arc gains its old head's earliest (3) minus the merge's
+    # (0), so paths into the merge telescope to minus the merge's earliest
+    assert relaxation.relax_arc(9, a, merged) == 12
 
 
 def test_bound_prunes_unreachable_mandatory_city():
@@ -185,3 +187,32 @@ def test_value_top_is_minus_earliest_on_every_compiled_node(seed):
             solve(problem, relaxation,
                   SolveConfig(width=width, use_rub=use_rub, dd_observer=check))
     assert "restricted" in seen and "relaxed" in seen
+
+
+@pytest.mark.parametrize("seed,n", [(25, 9), (19, 10), (17, 11)])
+def test_local_bounds_through_merges_keep_the_optimum(seed, n):
+    # at width 1, the best tour of these instances passes through a node
+    # that a later layer merges with an earlier-arriving one; a redirected
+    # arc that kept its weight lost the gap between the two arrivals, and
+    # LocB pruned the optimum
+    inst, problem, relaxation = make_problem("tsptw", seed, n)
+    for use_rub, use_locb in ((True, True), (False, True)):
+        out = solve(problem, relaxation,
+                    SolveConfig(width=1, use_rub=use_rub, use_locb=use_locb))
+        assert out.optimal and -out.value == tsptw_optimum(inst)
+
+
+@pytest.mark.parametrize("n", [9, 10, 11])
+def test_width_one_local_bounds_match_the_exact_diagram(n):
+    # the exact diagram is the DP the permutation oracle checks above; at
+    # width 1 every layer below a cutset merges, so local bounds read the
+    # most redirected arcs there
+    for seed in range(40):
+        _, problem, relaxation = make_problem("tsptw", seed, n)
+        exact = compile_diagram(problem, relaxation,
+                                SubProblem(problem.initial_state, 0),
+                                DiagramKind.EXACT).value
+        for use_rub in (False, True):
+            out = solve(problem, relaxation,
+                        SolveConfig(width=1, use_rub=use_rub, use_locb=True))
+            assert out.optimal and out.value == exact, (seed, use_rub)
