@@ -27,7 +27,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 MASK64 = (1 << 64) - 1
 
 # Largest N a "p edge" or "p wcnf" header may declare.  The models allocate
-# from N before any solve (the max-cut weight matrix alone holds N^2
+# from N before any solve (the max-cut weight rows alone hold N(N-1)/2
 # entries), so a 14-byte header could otherwise demand gigabytes; every
 # instance a decision diagram solves in reasonable time is far smaller.
 MAX_DECLARED_SIZE = 1000
@@ -92,13 +92,6 @@ class Graph:
         if u > v:
             u, v = v, u
         return self.edges.get((u, v), 0)
-
-    def weight_matrix(self) -> List[List[int]]:
-        w = [[0] * self.n for _ in range(self.n)]
-        for (u, v), wt in self.edges.items():
-            w[u][v] = wt
-            w[v][u] = wt
-        return w
 
     def neighbor_masks(self) -> List[int]:
         masks = [0] * self.n

@@ -1,9 +1,16 @@
 """Weighted MAX2SAT over clauses of at most two literals.
 
 Variables are decided in index order, value 1 = true, 0 = false.  The state
-mirrors the max-cut one: component l >= k is the net benefit of eventually
-setting variable l true, accumulated from clauses whose other literal was
-already falsified.  Deciding variable k collects
+has the max-cut layout (see `mcp`): after k decisions it is
+
+  (m, s_k, s_{k+1}, ..., s_{n-1}),   m = sum of |s_l| over l >= k,
+
+where s_l is the net benefit of eventually setting variable l true,
+accumulated from clauses whose other literal was already falsified, and m is
+the pending magnitude.  `successors` copies the tail once and updates m by
+the change in |s_j| of each partner j the decision touches, so neither the
+children nor the completion bound re-sum the tail.  Deciding variable k
+collects
 
   * the weights of unit clauses and pair clauses satisfied by the decision,
   * the chosen side of the accumulated net benefit, (s_k)^+ for true and
@@ -19,9 +26,11 @@ Replaying a complete assignment through these costs plus the initial value
 yields exactly the satisfied weight of that assignment; the exhaustive
 assignment oracle in the tests is the binding contract.
 
-The completion bound adds |s_l| for every undecided l, the best pairwise
-payoff among undecided pairs, and the best unit payoff per undecided
-variable.
+The completion bound adds m, that is |s_l| for every undecided l, the best
+pairwise payoff among undecided pairs, and the best unit payoff per
+undecided variable: value_top + m plus a per-layer constant, O(1) per
+state.  Merging and `relax_arc` are the max-cut ones
+(`BenefitVectorRelaxation`).
 
 A `Max2Sat` decides variables in its formula's own index order.  `load`,
 which solves from instance text, first renumbers the formula heaviest
@@ -46,8 +55,8 @@ class Max2Sat(Problem):
     # variable to the prefix value, so it sees what a layer's states still
     # promise; ranked by it, squeezes keep far fewer doomed nodes
     rank_by_bound = True
-    # an expansion builds two n-component states; the relaxed compile and
-    # the cutset children re-reach most of them, so keep them per solve
+    # an expansion builds two tail states; the relaxed compile and the
+    # cutset children re-reach most of them, so keep them per solve
     memoize_successors = True
 
     def __init__(self, formula: CnfFormula):
@@ -92,7 +101,7 @@ class Max2Sat(Problem):
         for (i, j), weights in sorted(pair.items()):
             rows[i].append((j, *weights))
         self.pairs_of = tuple(map(tuple, rows))
-        self.initial_state = (0,) * n
+        self.initial_state = (0,) * (n + 1)
         self.initial_value = sum(taut)
 
         # Suffix table for the completion bound: per pair the best of the four
@@ -127,14 +136,14 @@ class Max2Sat(Problem):
         return [(j, pp - pn, pp + pn) for j, pp, pn, np_, nn in self.pairs_of[k]]
 
     def transition(self, state: Tuple[int, ...], k: int, value: int):
-        nxt = list(state)
-        nxt[k] = 0
+        # state[j - k + 1] is s_j; the child's tail starts at s_{k+1}
+        tail = list(state[2:])
         for j, delta, _ in self._shift(k, value):
-            nxt[j] = state[j] + delta
-        return tuple(nxt)
+            tail[j - k - 1] += delta
+        return (sum(abs(s_j) for s_j in tail), *tail)
 
     def transition_cost(self, state: Tuple[int, ...], k: int, value: int) -> int:
-        s_k = state[k]
+        s_k = state[1]
         if value:
             cost = self.upos[k] + max(0, s_k)
         else:
@@ -146,31 +155,40 @@ class Max2Sat(Problem):
             else:
                 cost += np_ + nn
                 delta, total = pp - pn, pp + pn
-            s_j = state[j]
+            s_j = state[j - k + 1]
             cost += (total - abs(s_j + delta) + abs(s_j)) // 2
         return cost
 
     def successors(self, state: Tuple[int, ...], k: int):
-        s_k = state[k]
-        false_state = list(state)
-        false_state[k] = 0
+        # Both children start as state[1:], whose slot 0 (s_k) becomes the
+        # child's magnitude and whose slot j - k holds s_j.
+        s_k = state[1]
+        false_state = list(state[1:])
         true_state = false_state[:]
+        false_m = true_m = state[0] - abs(s_k)
         false_cost = self.uneg[k] + max(0, -s_k) + self.sat_false[k]
         true_cost = self.upos[k] + max(0, s_k) + self.sat_true[k]
         for j, pp, pn, np_, nn in self.pairs_of[k]:
-            s_j = state[j]
+            i = j - k
+            s_j = state[i + 1]
             a_j = abs(s_j)
             nxt = s_j + pp - pn
-            false_state[j] = nxt
-            false_cost += (pp + pn - abs(nxt) + a_j) // 2
+            false_state[i] = nxt
+            a = abs(nxt)
+            false_m += a - a_j
+            false_cost += (pp + pn - a + a_j) // 2
             nxt = s_j + np_ - nn
-            true_state[j] = nxt
-            true_cost += (np_ + nn - abs(nxt) + a_j) // 2
+            true_state[i] = nxt
+            a = abs(nxt)
+            true_m += a - a_j
+            true_cost += (np_ + nn - a + a_j) // 2
+        false_state[0] = false_m
+        true_state[0] = true_m
         return ((0, tuple(false_state), false_cost),
                 (1, tuple(true_state), true_cost))
 
     def rough_bound(self, state: Tuple[int, ...], value_top, k: int):
-        return value_top + sum(map(abs, state[k:])) + self.rest[k]
+        return value_top + state[0] + self.rest[k]
 
 
 def heaviest_first(formula: CnfFormula) -> Tuple[int, ...]:

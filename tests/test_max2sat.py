@@ -35,8 +35,8 @@ def test_pairs_of_lists_each_variables_later_partners_in_order(seed):
 
 def test_unit_clause_collected_only_when_satisfied():
     prob = build(1, [(5, (1,))])
-    assert prob.transition_cost((0,), 0, TRUE) == 5
-    assert prob.transition_cost((0,), 0, F) == 0
+    assert prob.transition_cost((0, 0), 0, TRUE) == 5
+    assert prob.transition_cost((0, 0), 0, F) == 0
 
 
 def test_tautology_feeds_initial_value():
@@ -48,23 +48,24 @@ def test_tautology_feeds_initial_value():
 
 def test_pending_benefit_state_update():
     # clause (-x0 or x1): deciding x0 true leaves weight 7 pending on x1 true
+    # a layer-k state is (m, s_k, ..., s_{n-1}), m the sum of |s_l|
     prob = build(2, [(7, (-1, 2))])
-    assert prob.transition((0, 0), 0, TRUE) == (0, 7)
-    assert prob.transition((0, 0), 0, F) == (0, 0)  # satisfied immediately
-    assert prob.transition_cost((0, 0), 0, F) == 7
-    assert prob.transition_cost((0, 0), 0, TRUE) == 0
-    assert prob.transition_cost((0, 7), 1, TRUE) == 7
-    assert prob.transition_cost((0, 7), 1, F) == 0
+    assert prob.transition((0, 0, 0), 0, TRUE) == (7, 7)
+    assert prob.transition((0, 0, 0), 0, F) == (0, 0)  # satisfied immediately
+    assert prob.transition_cost((0, 0, 0), 0, F) == 7
+    assert prob.transition_cost((0, 0, 0), 0, TRUE) == 0
+    assert prob.transition_cost((7, 7), 1, TRUE) == 7
+    assert prob.transition_cost((7, 7), 1, F) == 0
 
 
 def test_opposed_pending_weights_lock_in_their_overlap():
     # (-x0 or x1) weight 4 and (-x0 or -x1) weight 9: setting x0 true leaves
     # x1 with min(4, 9) guaranteed and a net pull of -5 toward false
     prob = build(2, [(4, (-1, 2)), (9, (-1, -2))])
-    assert prob.transition((0, 0), 0, TRUE) == (0, -5)
-    assert prob.transition_cost((0, 0), 0, TRUE) == 4
-    assert prob.transition_cost((0, -5), 1, F) == 5
-    assert prob.transition_cost((0, -5), 1, TRUE) == 0
+    assert prob.transition((0, 0, 0), 0, TRUE) == (5, -5)
+    assert prob.transition_cost((0, 0, 0), 0, TRUE) == 4
+    assert prob.transition_cost((5, -5), 1, F) == 5
+    assert prob.transition_cost((5, -5), 1, TRUE) == 0
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -90,22 +91,22 @@ def test_three_variable_exact_compile_matches_oracle():
 
 def test_merge_and_relax_arc_shapes():
     relaxation = max2sat.Max2SatRelaxation()
-    assert relaxation.merge([(0, 3, 2), (0, 5, 0)]) == (0, 3, 0)
-    assert relaxation.merge([(0, -3), (0, 4)]) == (0, 0)
-    merged = relaxation.merge([(0, 3), (0, 5)])
-    assert relaxation.relax_arc(7, (0, 5), merged) == 9
+    assert relaxation.merge([(5, 3, 2), (5, 5, 0)]) == (3, 3, 0)
+    assert relaxation.merge([(3, -3), (4, 4)]) == (0, 0)
+    merged = relaxation.merge([(3, 3), (5, 5)])
+    assert relaxation.relax_arc(7, (5, 5), merged) == 9
 
 
 def test_rough_bound_terminal_and_single_pair():
     prob = build(2, [(6, (1, 2))])
     # at the terminal layer nothing remains: bound equals the path value
-    assert prob.rough_bound((0, 0), 11, 2) == 11
+    assert prob.rough_bound((0,), 11, 2) == 11
     # at the root the bound is the best pairwise payoff, at least the optimum
     best = max(satisfied_weight(prob_formula, bits)
                for prob_formula in [io.CnfFormula(2, ((6, (1, 2)),))]
                for bits in product((0, 1), repeat=2))
-    assert prob.rough_bound((0, 0), 0, 0) >= best
-    assert prob.rough_bound((0, 0), 0, 0) == 6
+    assert prob.rough_bound((0, 0, 0), 0, 0) >= best
+    assert prob.rough_bound((0, 0, 0), 0, 0) == 6
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -139,5 +140,5 @@ def test_relaxed_dominates_at_every_width(width):
 
 def test_duplicate_literal_clause_acts_as_unit():
     prob = build(1, [(3, (1, 1))])
-    assert prob.transition_cost((0,), 0, TRUE) == 3
-    assert prob.transition_cost((0,), 0, F) == 0
+    assert prob.transition_cost((0, 0), 0, TRUE) == 3
+    assert prob.transition_cost((0, 0), 0, F) == 0

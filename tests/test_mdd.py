@@ -100,12 +100,12 @@ def test_restrict_noop_when_within_width():
 
 def test_relax_merges_mcp_states():
     parent = Node(state=None, value_top=0)
-    a = Node(state=(0, 3, -2), value_top=9, inbound=[(parent, 0, 9)])
-    b = Node(state=(0, 5, -4), value_top=7, inbound=[(parent, 1, 7)])
+    a = Node(state=(5, 3, -2), value_top=9, inbound=[(parent, 0, 9)])
+    b = Node(state=(9, 5, -4), value_top=7, inbound=[(parent, 1, 7)])
     merged_layer = relax_layer([a, b], 1, McpRelaxation())
     assert len(merged_layer) == 1
     merged = merged_layer[0]
-    assert merged is not a and merged.state == (0, 3, -2)
+    assert merged is not a and merged.state == (5, 3, -2)
     # arc into the second state lost magnitude (5-3) + (4-2) = 4
     weights = sorted(w for _, _, w in merged.inbound)
     assert weights == [9, 11]
@@ -114,10 +114,10 @@ def test_relax_merges_mcp_states():
 
 def test_relax_singleton_selection_goes_inexact():
     parent = Node(state=None, value_top=1)
-    a = Node(state=(0, 2), value_top=8, inbound=[(parent, 0, 7)])
-    b = Node(state=(0, 1), value_top=3, inbound=[(parent, 1, 2)])
+    a = Node(state=(2, 2), value_top=8, inbound=[(parent, 0, 7)])
+    b = Node(state=(1, 1), value_top=3, inbound=[(parent, 1, 2)])
     layer = relax_layer([a, b], 2, McpRelaxation())
-    assert [n.state for n in layer] == [(0, 2), (0, 1)]
+    assert [n.state for n in layer] == [(2, 2), (1, 1)]
     assert layer[0] is a and layer[1] is not b  # b is copied into a merge
     assert layer[1].value_top == 3  # singleton merge is the identity
     assert layer[1].inbound == [(parent, 1, 2)]
