@@ -44,12 +44,16 @@ Given the solve's dominance marks (see `dominance_marks` and the solver's
 docstring), a node whose value_top does not beat the mark on its (layer,
 state) is dropped too, once its layer is deduplicated and before it is
 counted or squeezed.  Its completions are the marked node's, at no higher
-value, and that node's subproblem is on the fringe or done.  The filter
-runs on every state-keyed layer and, at a relaxed diagram's first squeeze,
-on the layer being squeezed: the `Node` expansion then builds only the
-children the state-keyed pass kept.  It never runs below a merge, where a
-node's state and value stand for many paths; a layer with no marks skips
-it.
+value, and that node's subproblem is on the fringe or done.  When the
+model has a `Problem.dominance_key`, marks are stored and read by key
+instead, and of the nodes of a layer with equal keys only the one with the
+best value_top, the first on ties, is kept, and only if it beats its key's
+mark.  The filter runs on every state-keyed layer and, at a relaxed
+diagram's first squeeze, on the layer being squeezed: the `Node` expansion
+then builds only the children the state-keyed pass kept.  It never runs
+below a merge, where a node's state and value stand for many paths.  A
+model without a key costs no call per node, and a layer with no marks
+skips the filter.
 
 The rough bound of a node is its value-from-root plus a completion estimate
 that depends only on its (layer, state) (see `Problem.rough_bound`).  The
@@ -70,7 +74,7 @@ import time
 from dataclasses import dataclass
 from enum import Enum
 from operator import attrgetter, itemgetter
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from .model import NEG_INF, POS_INF, Problem, Relaxation
 
@@ -299,24 +303,32 @@ MARK_ENTRIES = 1 << 17
 
 
 def dominance_marks(problem: Problem) -> List[dict]:
-    """Empty dominance marks: one dict per layer 0..n, mapping a state to
-    the value_top of a node that marked it."""
+    """Empty dominance marks: one dict per layer 0..n, mapping a state, or
+    its `Problem.dominance_key` when the model has one, to the value_top of
+    a node that marked it."""
     return [{} for _ in range(problem.n + 1)]
 
 
-def mark(marks: List[dict], k: int, values: dict) -> None:
-    """Mark layer k's `state -> value_top` pairs in `values`.  Every
-    marked node beats the layer's old mark, so the new values overwrite."""
+def mark(marks: List[dict], k: int, values: dict,
+         key: Optional[Callable] = None) -> None:
+    """Mark layer k's `state -> value_top` pairs in `values`, by state, or
+    by `key(state)` when a key is given.  Every marked node beats its
+    state's or key's old mark, so the new values overwrite; the states of
+    `values` have distinct keys, as every compiled layer's do."""
     seen = marks[k]
     if len(seen) >= MARK_ENTRIES // len(marks):
         seen.clear()
-    seen.update(values)
+    if key is None:
+        seen.update(values)
+    else:
+        seen.update((key(state), value) for state, value in values.items())
 
 
-def mark_diagram(marks: List[dict], dd: DecisionDiagram) -> None:
-    """Mark every layer below the root of an exact diagram."""
+def mark_diagram(marks: List[dict], dd: DecisionDiagram,
+                 key: Optional[Callable] = None) -> None:
+    """Mark every layer below the root of an exact diagram (see `mark`)."""
     for k, values in enumerate(dd._values[1:], dd.first_layer + 1):
-        mark(marks, k, values)
+        mark(marks, k, values, key)
 
 
 def compile_diagram(problem: Problem, relaxation: Optional[Relaxation],
@@ -344,7 +356,9 @@ def compile_diagram(problem: Problem, relaxation: Optional[Relaxation],
     default every node's `successors` is called directly.  `marks` are the
     solve's dominance marks (see `dominance_marks`): a node of a layer above
     the first merge whose value_top does not beat its (layer, state)'s mark
-    is dropped before the layer is counted or squeezed.
+    is dropped before the layer is counted or squeezed.  With marks and a
+    `problem.dominance_key`, marks are read by key, and such a layer keeps
+    only the best node per key, the first on ties.
     """
     if kind is not DiagramKind.EXACT and width < 1:
         raise ValueError("width-bounded compilation needs width >= 1")
@@ -362,6 +376,7 @@ def compile_diagram(problem: Problem, relaxation: Optional[Relaxation],
     dd.nodes_created = dd.max_width = 1
 
     successors = problem.successors
+    key = None if marks is None else problem.dominance_key
     if bounds is None:
         bounds = bound_memo(problem)
     memo = None
@@ -396,13 +411,30 @@ def compile_diagram(problem: Problem, relaxation: Optional[Relaxation],
                         children[child_state] = candidate
                         best[child_state] = (state, value, weight)
             survivors = None
-            seen = marks and marks[k + 1]
-            if seen:
-                for state in children.keys() & seen.keys():
-                    if children[state] <= seen[state]:
+            if key is None:
+                seen = marks and marks[k + 1]
+                if seen:
+                    for state in children.keys() & seen.keys():
+                        if children[state] <= seen[state]:
+                            del children[state]
+                            del best[state]
+                            survivors = children
+            else:
+                # the best node per key, the first on ties, if it beats
+                # its key's mark
+                marked = marks[k + 1].get
+                top: dict = {}
+                for state, value in children.items():
+                    name = key(state)
+                    rival = top.get(name)
+                    if value > (marked(name, NEG_INF) if rival is None
+                                 else children[rival]):
+                        top[name] = state
+                if len(top) < len(children):
+                    for state in children.keys() - top.values():
                         del children[state]
                         del best[state]
-                        survivors = children
+                    survivors = children
             if len(children) > dd.max_width:
                 dd.max_width = len(children)
             # a relaxed diagram keeps its root's children whole, so that

@@ -56,6 +56,23 @@ class Problem(ABC):
                         more than a dict lookup (vector states, multi-valued
                         domains); for a few bit operations the memo's upkeep
                         costs more than it saves.
+      dominance_key  -- None, or a method `dominance_key(state)` returning a
+                        hashable key.  None means that a node dominates
+                        another only when their states are equal.  With a
+                        key, of two nodes of one layer above a merge whose
+                        states have equal keys, the one with the higher
+                        value_top dominates: the solver's compiles keep the
+                        best node per key (the first on ties) and read and
+                        write the solve's dominance marks by key.
+
+    A key is sound when, for any two exact states s and t of one layer with
+    equal keys, every completion feasible from t is feasible from s, at a
+    total no lower when s's prefix value is at least t's.  Then dropping t's
+    node for s's loses no solution that could beat s's.  Returning the state
+    itself is always sound; a key that maps distinct states together must
+    justify the domination, as `Tsptw.dominance_key` does.  The compiler
+    calls the key only on the state-keyed layers of a solve's compiles, so
+    never on a merged state, and a model without a key costs no call.
     """
 
     n: int
@@ -64,6 +81,7 @@ class Problem(ABC):
     negated: bool = False
     rank_by_bound: bool = False
     memoize_successors: bool = False
+    dominance_key = None
 
     @abstractmethod
     def domain(self, state: State, k: int) -> Iterable:

@@ -43,7 +43,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-from ..instances import CnfFormula, parse_wcnf, relabel_formula
+from ..instances import CnfFormula, relabel_formula
 from ..model import Problem
 from .mcp import BenefitVectorRelaxation
 
@@ -206,6 +206,8 @@ def heaviest_first(formula: CnfFormula) -> Tuple[int, ...]:
 
 
 def load(text: str):
+    from ..instances import parse_wcnf
+
     formula = parse_wcnf(text)
     order = heaviest_first(formula)
     problem = Max2Sat(relabel_formula(formula, order))

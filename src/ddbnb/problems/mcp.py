@@ -48,7 +48,7 @@ from __future__ import annotations
 from operator import add, sub
 from typing import Sequence, Tuple
 
-from ..instances import Graph, parse_graph, relabel_graph
+from ..instances import Graph, relabel_graph
 from ..model import Problem, Relaxation
 
 S, T = 0, 1
@@ -180,6 +180,8 @@ def heaviest_first(graph: Graph) -> Tuple[int, ...]:
 
 
 def load(text: str):
+    from ..instances import parse_graph
+
     graph = parse_graph(text)
     order = heaviest_first(graph)
     problem = MaxCut(relabel_graph(graph, order))

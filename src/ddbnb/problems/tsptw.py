@@ -28,6 +28,14 @@ earliest and the merge's, since the arcs below the merge start from the
 merge's earliest; local bounds, which sum those arcs, could then fall below
 the optimum and prune it.
 
+Two exact states of one layer at the same city with the same unvisited
+cities share the dominance key (position, must) (see
+`Problem.dominance_key`); any other state is its own key.  Waiting is
+allowed, so the state that arrives earlier can follow every completion of
+the other and arrive no later at each city and back at the depot.  An exact
+state's value_top is -earliest, so the higher value_top is the earlier
+arrival, and the solver keeps only that node of the two.
+
 The completion bound underestimates the remaining work with per-city cheapest
 inbound edges.  It prunes (returns the NEG_INF sentinel) when too few
 window-reachable cities remain to fill the tour, when a mandatory city can no
@@ -72,6 +80,12 @@ class Tsptw(Problem):
         self.last_start = tuple(close_t - edge for close_t, edge
                                 in zip(self.closes, inst.shortest_edge))
         self.to_depot = tuple(row[0] for row in inst.dist)
+
+    def dominance_key(self, state: TsptwState):
+        position, earliest, latest, must, may = state
+        if may or earliest != latest or position & (position - 1):
+            return state
+        return position, must
 
     def domain(self, state: TsptwState, k: int):
         if k == self.n - 1:

@@ -55,6 +55,13 @@ restricted compile would drop all of that sample's nodes.  A node kept by a
 compile beats its mark, so new marks overwrite old ones.  The marks never
 change a returned value, only which subproblems are explored.
 
+A model with a `Problem.dominance_key` (Coppé, Gillard & Schaus, "Modeling
+and exploiting dominance rules for discrete optimization with decision
+diagrams", CPAIOR 2024) has its marks stored and read by key, not by state:
+a mark (k, key, v) drops the nodes of layer k with that key whose
+value_top is at most v, and the argument above holds because the key is
+sound.  Within a compile, too, only the best node per key survives.
+
 Two optional filters sharpen this loop:
 
   * rough-bound filtering (`use_rub`) discards doomed nodes inside both
@@ -198,6 +205,7 @@ class _Search:
         self.expansions = (successors_memo(problem)
                            if problem.memoize_successors else None)
         self.marks = dominance_marks(problem)
+        self.key = problem.dominance_key
         self.incumbent = NEG_INF
         self.assignment: Optional[list] = None
         self.explored = 0
@@ -239,7 +247,7 @@ class _Search:
             restricted = self.compile(sub, DiagramKind.RESTRICTED, width)
             self.improve(sub, best_solution(restricted))
             if restricted.is_exact:
-                mark_diagram(self.marks, restricted)
+                mark_diagram(self.marks, restricted, self.key)
                 return
             relaxed = self.compile(sub, DiagramKind.RELAXED, width)
         else:
@@ -262,7 +270,7 @@ class _Search:
             # marked only now, after any sample: marked before, it would
             # dominate every node of the restricted diagram
             self.improve(sub, best_solution(relaxed))
-            mark_diagram(self.marks, relaxed)
+            mark_diagram(self.marks, relaxed, self.key)
             return
         if relaxed.value <= self.incumbent:
             return
@@ -279,7 +287,7 @@ class _Search:
             child.path = sub.path + child.path
             self.fringe.push(child)
             pushed[child.state] = child.value_top
-        mark(self.marks, relaxed.last_exact_layer, pushed)
+        mark(self.marks, relaxed.last_exact_layer, pushed, self.key)
 
     def run(self) -> None:
         cfg = self.config

@@ -103,6 +103,15 @@ def test_rank_by_bound_is_chosen_per_model():
     assert Problem.rank_by_bound is False
 
 
+def test_only_tsptw_names_a_dominance_key():
+    # the others compare states only, with no key call per node; a misp
+    # key would need subset dominance, which equal keys cannot express
+    assert Problem.dominance_key is None
+    for name in ("misp", "mcp", "max2sat"):
+        assert make_problem(name, 0, 4)[1].dominance_key is None, name
+    assert make_problem("tsptw", 0, 4)[1].dominance_key is not None
+
+
 @pytest.mark.parametrize("name", ["misp", "mcp", "max2sat", "tsptw"])
 def test_rough_bound_is_prefix_value_plus_a_state_estimate(name):
     # the compiler memoises rough_bound(s, v, k) - v per (layer, state), so

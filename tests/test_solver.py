@@ -14,7 +14,7 @@ from ddbnb.cli import main as cli_main
 from ddbnb.problems import misp, tsptw
 from ddbnb.solver import _Search, diagram_width
 
-from support import make_problem
+from support import make_problem, tsptw_optimum
 
 PROBLEMS = ["misp", "mcp", "max2sat", "tsptw"]
 ALL_CONFIGS = [(False, False), (True, False), (False, True), (True, True)]
@@ -264,6 +264,12 @@ def test_workers_agree_with_single_thread(tmp_path):
     assert len(csvs[0].splitlines()) == 1 + 4 * 4  # four problems, configs
 
 
+def key_of(problem):
+    """The key the solve's marks and compiles compare nodes by: the model's
+    dominance key, else the state itself."""
+    return problem.dominance_key or (lambda state: state)
+
+
 def rooted_search(problem, relaxation, config):
     """The state of a solve with its root on the fringe, not yet run, so
     that hooks can read its memos and marks."""
@@ -302,13 +308,15 @@ def test_memo_holds_each_states_own_estimate_at_its_layer(name):
 @pytest.mark.parametrize("name", PROBLEMS)
 def test_relaxed_diagrams_keep_their_roots_children(name):
     # at every width, a relaxed diagram's first layer holds one node per
-    # distinct state among the root's successors that survive RUB and beat
-    # the solve's mark on their state, at the best value into it, and an
-    # inexact one's last exact layer lies below its root, so a branching
-    # never hands back its own subproblem
+    # distinct state among the root's successors that survive RUB, at the
+    # best value into it, less all but the best (the first on ties) of the
+    # states with equal dominance keys and those that do not beat the
+    # solve's mark on their key; an inexact diagram's last exact layer lies
+    # below its root, so a branching never hands back its own subproblem
     inexact = dominated = 0
     for seed in range(3):
         _, problem, relaxation = make_problem(name, seed, 7)
+        key = key_of(problem)
         best, _ = brute_force_optimum(problem)
         for width in (1, 2, 3, None):
             for use_rub, use_locb in ALL_CONFIGS:
@@ -329,9 +337,16 @@ def test_relaxed_diagrams_keep_their_roots_children(name):
                             continue
                         children[state] = max(children.get(state, NEG_INF),
                                               value)
+                    top = {}
+                    for state, value in children.items():
+                        label = key(state)
+                        if label not in top or value > children[top[label]]:
+                            top[label] = state
                     seen = search.marks[k + 1]
                     for state, value in list(children.items()):
-                        if value <= seen.get(state, NEG_INF):
+                        label = key(state)
+                        if (top[label] != state
+                                or value <= seen.get(label, NEG_INF)):
                             del children[state]
                             dominated += 1
                     first = {node.state: node.value_top
@@ -346,7 +361,7 @@ def test_relaxed_diagrams_keep_their_roots_children(name):
                 search.run()
                 assert search.incumbent == best
     assert inexact > 0
-    # at these sizes only misp subproblems reach marked children
+    # at these sizes only misp subproblems reach dominated children
     assert dominated > 0 or name != "misp"
 
 
@@ -429,6 +444,7 @@ def restricted_first(problem, relaxation, width, use_rub, use_locb):
     fringe.push(SubProblem(problem.initial_state, problem.initial_value))
     incumbent, assignment, explored, nodes = NEG_INF, None, 0, 0
     marks = mdd.dominance_marks(problem)
+    key = problem.dominance_key
 
     def compile(sub, kind):
         nonlocal nodes
@@ -449,13 +465,13 @@ def restricted_first(problem, relaxation, width, use_rub, use_locb):
         if found:
             incumbent, assignment = found[0], list(sub.path) + found[1]
         if restricted.is_exact:
-            mdd.mark_diagram(marks, restricted)
+            mdd.mark_diagram(marks, restricted, key)
             continue
         relaxed, found = compile(sub, DiagramKind.RELAXED)
         if relaxed.is_exact:
             if found:
                 incumbent, assignment = found[0], list(sub.path) + found[1]
-            mdd.mark_diagram(marks, relaxed)
+            mdd.mark_diagram(marks, relaxed, key)
             continue
         if relaxed.value <= incumbent:
             continue
@@ -466,7 +482,8 @@ def restricted_first(problem, relaxation, width, use_rub, use_locb):
             if not (use_locb and child.ub <= incumbent):
                 child.path = sub.path + child.path
                 fringe.push(child)
-                mdd.mark(marks, len(child.path), {child.state: child.value_top})
+                mdd.mark(marks, len(child.path),
+                         {child.state: child.value_top}, key)
     return incumbent, assignment, explored, nodes
 
 
@@ -567,14 +584,15 @@ def test_no_restricted_compile_follows_a_pruning_bound(name):
 
 def test_marks_change_only_between_explorations():
     # every compile of an exploration reads the marks the exploration began
-    # with, and every node it keeps above its first merge beats its (layer,
-    # state)'s mark.  So an exact relaxed diagram whose first layer
-    # overflowed, and which therefore samples next, is not marked before
+    # with, and every node it keeps above its first merge beats the mark on
+    # its layer and dominance key.  So an exact relaxed diagram whose first
+    # layer overflowed, and which therefore samples next, is not marked before
     # its restricted compile: that compile's nodes would all be dominated
     # and the sample would find nothing
     sampled = 0
     for name, seed in itertools.product(PROBLEMS, range(3)):
         _, problem, relaxation = make_problem(name, seed, 9)
+        key = key_of(problem)
         for width in (1, 2, None):
             for use_rub, use_locb in ALL_CONFIGS:
                 before, kinds = [], []
@@ -593,7 +611,7 @@ def test_marks_change_only_between_explorations():
                     for rel in range(1, cut):
                         seen = before[dd.first_layer + rel]
                         for node in dd.layers[rel]:
-                            assert node.value_top > seen.get(node.state,
+                            assert node.value_top > seen.get(key(node.state),
                                                              NEG_INF)
 
                 search = rooted_search(
@@ -604,6 +622,45 @@ def test_marks_change_only_between_explorations():
                 search.run()
                 assert search.incumbent == brute_force_optimum(problem)[0]
     assert sampled > 0
+
+
+def test_kept_tsptw_nodes_have_distinct_keys_that_beat_their_marks():
+    # above its first merge, no layer of a compiled diagram holds two nodes
+    # with equal dominance keys, and each node beats the mark on its key
+    # that the exploration began with; wide windows let many exact states
+    # of a layer share a city and an unvisited set
+    marked = 0
+    for seed in range(4):
+        inst = io.random_tsptw(9, seed, early_slack=55, late_slack=55)
+        problem, relaxation = tsptw.Tsptw(inst), tsptw.TsptwRelaxation()
+        key = problem.dominance_key
+        for width in (1, 2, None):
+            for use_rub, use_locb in ALL_CONFIGS:
+                before = []
+
+                def hook(incumbent, bound):
+                    before[:] = [dict(seen) for seen in search.marks]
+
+                def observer(kind, dd, sub, incumbent):
+                    nonlocal marked
+                    cut = (len(dd.layers) if dd.last_exact_layer is None
+                           else dd.last_exact_layer - dd.first_layer + 1)
+                    for rel in range(1, cut):
+                        seen = before[dd.first_layer + rel]
+                        labels = [key(node.state) for node in dd.layers[rel]]
+                        assert len(set(labels)) == len(labels)
+                        for node, label in zip(dd.layers[rel], labels):
+                            assert node.value_top > seen.get(label, NEG_INF)
+                            marked += label in seen
+
+                search = rooted_search(
+                    problem, relaxation,
+                    SolveConfig(width=width, use_rub=use_rub,
+                                use_locb=use_locb, dd_observer=observer,
+                                iteration_hook=hook))
+                search.run()
+                assert -search.incumbent == tsptw_optimum(inst)
+    assert marked > 0
 
 
 @pytest.mark.parametrize("name", PROBLEMS)

@@ -216,3 +216,65 @@ def test_width_one_local_bounds_match_the_exact_diagram(n):
             out = solve(problem, relaxation,
                         SolveConfig(width=1, use_rub=use_rub, use_locb=True))
             assert out.optimal and out.value == exact, (seed, use_rub)
+
+
+def test_dominance_key_is_city_and_unvisited_set_of_exact_states():
+    prob = three_city()
+    early = TsptwState(0b10, 3, 3, 0b100, 0)
+    late = TsptwState(0b10, 9, 9, 0b100, 0)
+    assert prob.dominance_key(early) == prob.dominance_key(late) == (0b10,
+                                                                     0b100)
+    # a merged position, a time interval or an optional city is its own key
+    for merged in (TsptwState(0b110, 3, 4, 0, 0b110),
+                   TsptwState(0b10, 3, 4, 0b100, 0),
+                   TsptwState(0b10, 3, 3, 0, 0b100)):
+        assert prob.dominance_key(merged) == merged
+
+
+@pytest.mark.parametrize("n", [6, 7, 8, 9])
+def test_dominance_key_solves_match_the_permutation_oracle(n):
+    # keeping only the earliest arrival per (city, unvisited set) loses no
+    # optimum, under every config and width, tight windows or wide
+    for seed in range(25):
+        for slack in (10, 55):
+            inst = io.random_tsptw(n, seed, early_slack=slack,
+                                   late_slack=slack)
+            oracle = tsptw_optimum(inst)
+            problem, relaxation = tsptw.Tsptw(inst), tsptw.TsptwRelaxation()
+            for width in (1, 2, 3, None):
+                for use_rub in (False, True):
+                    for use_locb in (False, True):
+                        out = solve(problem, relaxation,
+                                    SolveConfig(width=width, use_rub=use_rub,
+                                                use_locb=use_locb))
+                        case = (seed, slack, width, use_rub, use_locb)
+                        assert out.optimal, case
+                        if oracle is None:
+                            assert out.assignment is None, case
+                        else:
+                            assert -out.value == oracle == tour_makespan(
+                                inst, out.assignment[:-1]), case
+
+
+def test_dominance_key_pins_wide_window_counts():
+    # (value, explored, dd_nodes) per config, with the key and with the
+    # model's key switched off, which compares states only
+    inst = io.random_tsptw(14, 1, span=40, early_slack=55, late_slack=55)
+    pinned = {
+        True: {"none": (-348, 279, 39668), "rub": (-348, 1, 72),
+               "locb": (-348, 249, 39659), "rub+locb": (-348, 1, 72)},
+        False: {"none": (-348, 342, 53733), "rub": (-348, 15, 807),
+                "locb": (-348, 310, 53813), "rub+locb": (-348, 10, 801)},
+    }
+    configs = {"none": (False, False), "rub": (True, False),
+               "locb": (False, True), "rub+locb": (True, True)}
+    for keyed, counts in pinned.items():
+        problem = tsptw.Tsptw(inst)
+        if not keyed:
+            problem.dominance_key = None
+        for config, (use_rub, use_locb) in configs.items():
+            out = solve(problem, tsptw.TsptwRelaxation(),
+                        SolveConfig(use_rub=use_rub, use_locb=use_locb))
+            assert out.optimal
+            assert (out.value, out.explored, out.dd_nodes) == counts[config], (
+                keyed, config)
