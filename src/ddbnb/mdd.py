@@ -2,26 +2,22 @@
 and the bottom-up local-bound pass over relaxed ones.
 
 A diagram unrolls the transition system of a subproblem layer by layer.
-Nodes within a layer are deduplicated by state, keeping the best
-value-from-root and its incoming arc.  When a layer of a width-bounded
-diagram grows past the width limit it is squeezed: a restricted diagram
-simply drops its lowest-ranked nodes, a relaxed diagram keeps the best
-`width - 1` of them and folds the rest into a single merged node through the
-problem's merge/relax operators.  Nodes rank by value-from-root (the
-longest-path ranking of Bergman et al.), or, with `rank_by_bound`, by
-`(rough bound, value-from-root)`.  Ranking ties break on insertion order so
-compilation is fully deterministic.
+Every layer of every diagram has the same shape: a dict `state -> value_top`,
+the value of the best root-to-node path, and a dict `state -> [(parent
+state, decision value, weight), ...]` of its inbound arcs in the order they
+were generated (see `DecisionDiagram`).  Layers are deduplicated by state,
+so a parent state names one node of the layer above.  The best arc of a
+state is the first inbound arc that reaches its value_top, and best paths
+are read back along best arcs.
 
-Every diagram starts as state-keyed layers (see `DecisionDiagram`), which
-keep only each state's value and best incoming arc: a new node costs a dict
-lookup and two stores.  Restricted and exact diagrams, and relaxed ones
-that never squeeze, stay that way, and their best paths are read from the
-arcs.  Merging and `compute_local_bounds` need every inbound arc, so at a
-relaxed diagram's first squeeze the layer above it, its last exact layer,
-is rebuilt as `Node`s and expanded again into `Node`s that keep their
-inbound arcs; the rest of the diagram is built from `Node`s.  The second
-expansion repeats that layer's `successors` calls unless an `expansions`
-memo serves them.
+When a layer of a width-bounded diagram grows past the width limit it is
+squeezed: a restricted diagram simply drops its lowest-ranked nodes, a
+relaxed diagram keeps the best `width - 1` of them and folds the rest into a
+single merged node through the problem's merge/relax operators, redirecting
+their inbound arcs to it.  Nodes rank by value-from-root (the longest-path
+ranking of Bergman et al.), or, with `rank_by_bound`, by `(rough bound,
+value-from-root)`.  Ranking ties break on insertion order so compilation is
+fully deterministic.
 
 Every path into a layer above the first relaxed squeeze is a path of the
 exact diagram, so the last exact layer is the one above that squeeze; its
@@ -29,7 +25,7 @@ nodes are the branching frontier handed to the driver.  A relaxed diagram
 never squeezes the first layer below its root, so that frontier lies below
 the root and every branching fixes at least one variable.
 
-Each node is expanded with one `Problem.successors` call.  Given an
+Each node is expanded once, with one `Problem.successors` call.  Given an
 `expansions` memo (see `successors_memo`), which the solver keeps for a
 whole solve when the model sets `memoize_successors`, the call happens only
 on a (layer, state)'s first expansion, and every later node with that layer
@@ -48,12 +44,10 @@ value, and that node's subproblem is on the fringe or done.  When the
 model has a `Problem.dominance_key`, marks are stored and read by key
 instead, and of the nodes of a layer with equal keys only the one with the
 best value_top, the first on ties, is kept, and only if it beats its key's
-mark.  The filter runs on every state-keyed layer and, at a relaxed
-diagram's first squeeze, on the layer being squeezed: the `Node` expansion
-then builds only the children the state-keyed pass kept.  It never runs
-below a merge, where a node's state and value stand for many paths.  A
-model without a key costs no call per node, and a layer with no marks
-skips the filter.
+mark.  The filter runs on every layer down to a relaxed diagram's first
+squeeze, that layer included.  It never runs below a merge, where a node's
+state and value stand for many paths.  A model without a key costs no call
+per node, and a layer with no marks skips the filter.
 
 The rough bound of a node is its value-from-root plus a completion estimate
 that depends only on its (layer, state) (see `Problem.rough_bound`).  The
@@ -61,11 +55,12 @@ estimates live in a memo, one `Estimates` dict per layer, that the solver
 keeps for a whole solve, so `rough_bound` is evaluated once per (layer,
 state) per solve; every RUB test and ranking key reads the memo.
 
-`compute_local_bounds` walks a relaxed diagram bottom-up from its terminal
-layer, stopping once it crosses the last exact layer, and gives each node of
-that layer the value of the best full path through it.  Stopping there is
-sound only because the cutset is always that whole layer; a cutset taken
-anywhere else would need the walk to go on up to the root.
+`compute_local_bounds` walks a relaxed diagram's inbound arcs bottom-up from
+its terminal layer, stopping once it reaches the last exact layer, and
+gives each state of that layer the value of the best path from it to the
+terminal.  Stopping there is sound only because the cutset is always that
+whole layer; a cutset taken anywhere else would need the walk to go on up
+to the root.
 """
 
 from __future__ import annotations
@@ -73,7 +68,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from enum import Enum
-from operator import attrgetter, itemgetter
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from .model import NEG_INF, POS_INF, Problem, Relaxation
@@ -87,12 +81,12 @@ class DiagramKind(Enum):
 
 @dataclass(slots=True)
 class Node:
+    """A node of `DecisionDiagram.layers`, the read-only view."""
+
     state: Any
     value_top: Any                      # value of the best root-to-node path
     best_arc: Optional[tuple] = None    # (parent Node, decision value, weight)
     inbound: Optional[list] = None      # all (parent, value, weight) arcs
-    value_bot: Any = NEG_INF            # best node-to-terminal path or NEG_INF
-    local_bound: Any = NEG_INF
 
 
 @dataclass(slots=True)
@@ -106,48 +100,41 @@ class SubProblem:
 
 
 class DecisionDiagram:
-    """A compiled diagram, or one built by hand from `Node` layers.
+    """A compiled diagram.
 
-    A compiled diagram holds state-keyed layers (see the module docstring)
-    down to its last exact layer, or to its terminal layer when it has
-    none: `_values`, a dict `state -> value_top` per layer; `_arcs`, a dict
-    `state -> (parent state, decision value, weight)` per layer, empty for
-    the root's; `_terminal`, the best terminal's `(state, value)` when the
-    terminal layer is state-keyed.  An inexact relaxed diagram also holds
-    `_nodes`, its `Node` layers from the last exact layer, whose nodes have
-    no arcs, down to the terminal layer, whose best node is
-    `_best_terminal`; merging and `compute_local_bounds` need their inbound
-    arcs.  `layers` and `best_terminal` are a `Node` view joining both
-    parts, built on first read and then cached; the solver never reads
-    them.  `value` is the best terminal's value, NEG_INF without one.
+    `_values[rel]` is layer `first_layer + rel` as a dict `state ->
+    value_top`, and `_arcs[rel]` maps each of its states to its inbound arcs,
+    `[(parent state, decision value, weight), ...]`; the root's is empty.
+    `_arcs` may also hold the arcs of states that a squeeze or a dominance
+    mark dropped, which nothing reads.  A dead end ends `_values` with an
+    empty layer.  `_value_bot` is set by `compute_local_bounds`: the last
+    exact layer's `state -> value_bot` for the states that reach the
+    terminal.  `value` is the best terminal's value, NEG_INF without one.
+
+    `layers` and `best_terminal` are a `Node` view, built on first read and
+    then cached; the solver never reads them.  Its nodes above and at the
+    last exact layer (every node, when there is none) show only their best
+    arc; those below it show every inbound arc too.
     """
 
     __slots__ = ("kind", "first_layer", "is_exact", "last_exact_layer",
-                 "nodes_created", "max_width", "value", "_layers",
-                 "_best_terminal", "_values", "_arcs", "_terminal", "_nodes")
+                 "nodes_created", "max_width", "value", "_values", "_arcs",
+                 "_value_bot", "_layers", "_best_terminal")
 
-    def __init__(self, kind: DiagramKind, first_layer: int,
-                 layers: Optional[List[List[Node]]] = None,
-                 is_exact: bool = True,
-                 last_exact_layer: Optional[int] = None,
-                 best_terminal: Optional[Node] = None,
-                 nodes_created: int = 0):
+    def __init__(self, kind: DiagramKind, first_layer: int):
         self.kind = kind
         self.first_layer = first_layer      # number of variables fixed by the root
-        self.is_exact = is_exact            # no restriction/relaxation occurred
+        self.is_exact = True                # no restriction/relaxation occurred
         # absolute index of the layer above the first relaxed squeeze, else None
-        self.last_exact_layer = last_exact_layer
-        self.nodes_created = nodes_created
+        self.last_exact_layer: Optional[int] = None
+        self.nodes_created = 0
         self.max_width = 0      # most nodes a compiled layer held unsqueezed
-        self.value = (NEG_INF if best_terminal is None
-                      else best_terminal.value_top)
-        self._layers = [] if layers is None else layers
-        self._best_terminal = best_terminal
-        self._values: Optional[List[dict]] = None
-        self._arcs: Optional[List[dict]] = None
-        self._terminal: Optional[tuple] = None
-        self._nodes = (None if layers is None or last_exact_layer is None
-                       else layers[last_exact_layer - first_layer:])
+        self.value = NEG_INF
+        self._values: List[dict] = []
+        self._arcs: List[dict] = []
+        self._value_bot: dict = {}
+        self._layers: Optional[List[List[Node]]] = None
+        self._best_terminal: Optional[Node] = None
 
     @property
     def layers(self) -> List[List[Node]]:
@@ -162,88 +149,92 @@ class DecisionDiagram:
         return self._best_terminal
 
     def _build_view(self) -> None:
-        layers, parents, nodes = [], {}, {}
-        for values, arcs in zip(self._values, self._arcs):
+        cut = (len(self._values) if self.last_exact_layer is None
+               else self.last_exact_layer - self.first_layer)
+        layers, nodes = [], {}
+        for rel, (values, arcs) in enumerate(zip(self._values, self._arcs)):
             parents, nodes = nodes, {}
             for state, value_top in values.items():
-                arc = arcs.get(state)
-                nodes[state] = Node(state, value_top, arc and (
-                    parents[arc[0]], arc[1], arc[2]))
+                inbound = [(parents[parent], value, weight)
+                           for parent, value, weight in arcs.get(state, ())]
+                best = next((arc for arc in inbound
+                             if arc[0].value_top + arc[2] == value_top), None)
+                nodes[state] = Node(state, value_top, best,
+                                    inbound if rel > cut else None)
             layers.append(list(nodes.values()))
-        if self._nodes is not None:
-            # the last exact layer was compiled in both forms: the view
-            # shows its Nodes, given best arcs into the layer above
-            arcs = self._arcs[-1]
-            for node in self._nodes[0]:
-                parent, value, weight = arcs[node.state]
-                node.best_arc = (parents[parent], value, weight)
-            layers[-1:] = self._nodes
         self._layers = layers
-        if self._terminal is not None:
-            self._best_terminal = nodes[self._terminal[0]]
+        if self.value != NEG_INF:
+            self._best_terminal = nodes[_terminal(self)]
 
 
-def _split(nodes: Sequence[Node], count: int,
-           keys: Optional[Sequence] = None) -> Tuple[List[Node], List[Node]]:
-    """(the `count` nodes with the largest keys, the others), both in
-    insertion order; of the nodes tied at the cut, the earlier are kept.
+def _split(layer: dict, count: int,
+           keys: Optional[Sequence] = None) -> Tuple[list, list]:
+    """(the states of the `count` largest keys, the other states), both in
+    insertion order; of the states tied at the cut, the earlier are kept.
 
-    `keys` parallels `nodes` and defaults to their values-from-root; given
-    keys, the items may be anything, such as the `(state, value_top)` pairs
-    of a state-keyed layer.
+    `keys` parallels the states of `layer` and defaults to their values.
     """
-    if count < 1:
-        return [], list(nodes)
     if keys is None:
-        keys = [node.value_top for node in nodes]
+        keys = list(layer.values())
+    if count < 1:
+        return [], list(layer)
     ranked = sorted(keys, reverse=True)[:count]
     cut = ranked[-1]
-    ties = ranked.count(cut)            # kept nodes keyed exactly `cut`
+    ties = ranked.count(cut)            # kept states keyed exactly `cut`
     kept, rest = [], []
-    for node, key in zip(nodes, keys):
+    for state, key in zip(layer, keys):
         if key > cut or key == cut and ties:
             ties -= key == cut
-            kept.append(node)
+            kept.append(state)
         else:
-            rest.append(node)
+            rest.append(state)
     return kept, rest
 
 
-def restrict_layer(nodes: List[Node], width: int,
-                   keys: Optional[Sequence] = None) -> List[Node]:
-    """Keep the `width` best-ranked nodes (see `_split` for `keys`)."""
-    return _split(nodes, width, keys)[0] if len(nodes) > width else nodes
+def restrict_layer(layer: dict, width: int,
+                   keys: Optional[Sequence] = None) -> dict:
+    """Keep the `width` best-ranked states of a `state -> value_top` layer
+    (see `_split` for `keys`)."""
+    if len(layer) <= width:
+        return layer
+    return {state: layer[state] for state in _split(layer, width, keys)[0]}
 
 
-def relax_layer(nodes: List[Node], width: int, relaxation: Relaxation,
-                keys: Optional[Sequence] = None) -> List[Node]:
-    """Merge all nodes ranked below the best `width - 1` into a single node
-    (see `_split` for `keys`).
+def relax_layer(layer: dict, width: int, relaxation: Relaxation, arcs: dict,
+                above: dict, keys: Optional[Sequence] = None) -> dict:
+    """Merge all states of a `state -> value_top` layer ranked below the
+    best `width - 1` into a single state (see `_split` for `keys`).
 
-    The merged state may collide with a kept node's state; the redirected
-    arcs then fold into that node.  A layer of exactly `width` nodes selects
-    one node, which merging copies into a fresh node (merging is the
-    identity on singletons); the compiler never passes one.
+    `arcs` is the layer's `state -> inbound arcs` and `above` the layer
+    above's `state -> value_top`.  The merged state's arcs are the selected
+    states' arcs, relaxed by `relax_arc`, and are stored in `arcs`.  The
+    merged state may collide with a kept state; the redirected arcs then
+    follow that state's own.  A layer of exactly `width` states selects one,
+    which merging copies (merging is the identity on singletons); the
+    compiler never passes one.
     """
-    if len(nodes) < width:
-        return nodes
-    kept, selected = _split(nodes, width - 1, keys)
-    merged_state = relaxation.merge([node.state for node in selected])
+    if len(layer) < width:
+        return layer
+    kept, selected = _split(layer, width - 1, keys)
+    merged_state = relaxation.merge(selected)
+    relax_arc = relaxation.relax_arc
+    out = {state: layer[state] for state in kept}
 
-    target = next((node for node in kept if node.state == merged_state), None)
-    fresh = target is None
-    if fresh:
-        target = Node(merged_state, NEG_INF, None, [])
-
-    for node in selected:
-        for parent, value, weight in (node.inbound or ()):
-            relaxed = relaxation.relax_arc(weight, node.state, merged_state)
-            candidate = parent.value_top + relaxed
-            if candidate > target.value_top:
-                target.value_top = candidate
-                target.best_arc = (parent, value, relaxed)
-            target.inbound.append((parent, value, relaxed))
-    return kept + [target] if fresh else kept
+    value_top = out.get(merged_state, NEG_INF)
+    redirected = []
+    for state in selected:
+        for parent, value, weight in arcs[state]:
+            relaxed = relax_arc(weight, state, merged_state)
+            candidate = above[parent] + relaxed
+            if candidate > value_top:
+                value_top = candidate
+            redirected.append((parent, value, relaxed))
+    if merged_state in out:
+        arcs[merged_state] += redirected
+    else:
+        arcs[merged_state] = redirected
+    out[merged_state] = value_top
+    return out
 
 
 # Entries a completion-estimate memo may hold, split evenly over its layers.
@@ -344,19 +335,21 @@ def compile_diagram(problem: Problem, relaxation: Optional[Relaxation],
     `width` bounds every layer below the root of a restricted diagram and
     every layer below the first of a relaxed one (exact diagrams never
     bound).  `incumbent` and `use_rub` drive the before-insertion
-    completion-bound filter.  Layers are state-keyed until a relaxed
-    diagram's first squeeze, which rebuilds the layer above it as `Node`s
-    and expands it again keeping every inbound arc (see `DecisionDiagram`);
-    only the per-node loop differs.  `deadline` is a `time.monotonic()`
-    reading.  `rank_by_bound` ranks the nodes of an oversized layer by
-    `(rough bound, value_top)` instead of by `value_top`.  `bounds` is the
-    completion-estimate memo (see `bound_memo`) shared by the compiles of
-    one solve; each compile gets a fresh one by default.  `expansions` is
-    a successors memo (see `successors_memo`) shared the same way; by
-    default every node's `successors` is called directly.  `marks` are the
-    solve's dominance marks (see `dominance_marks`): a node of a layer above
-    the first merge whose value_top does not beat its (layer, state)'s mark
-    is dropped before the layer is counted or squeezed.  With marks and a
+    completion-bound filter.  Every layer is built by the same per-node
+    loop into a `state -> value_top` dict and a `state -> inbound arcs`
+    dict (see `DecisionDiagram`), and squeezed by `restrict_layer` or
+    `relax_layer`; a relaxed diagram's first squeeze records its last
+    exact layer and compilation goes on from the squeezed layer.
+    `deadline` is a `time.monotonic()` reading.  `rank_by_bound` ranks the
+    nodes of an oversized layer by `(rough bound, value_top)` instead of by
+    `value_top`.  `bounds` is the completion-estimate memo (see
+    `bound_memo`) shared by the compiles of one solve; each compile gets a
+    fresh one by default.  `expansions` is a successors memo (see
+    `successors_memo`) shared the same way; by default every node's
+    `successors` is called directly.  `marks` are the solve's dominance
+    marks (see `dominance_marks`): a node of a layer above the first merge
+    whose value_top does not beat its (layer, state)'s mark is dropped
+    before the layer is counted or squeezed.  With marks and a
     `problem.dominance_key`, marks are read by key, and such a layer keeps
     only the best node per key, the first on ties.
     """
@@ -367,12 +360,10 @@ def compile_diagram(problem: Problem, relaxation: Optional[Relaxation],
     relaxed = kind is DiagramKind.RELAXED
 
     first = len(sub.path)
-    dd = DecisionDiagram(kind=kind, first_layer=first)
+    dd = DecisionDiagram(kind, first)
     layer = {sub.state: sub.value_top}
     values = dd._values = [layer]
-    best_arcs = dd._arcs = [{}]
-    dd._layers = None
-    nodes = None                        # a relaxed diagram's Node layers
+    inbound = dd._arcs = [{}]
     dd.nodes_created = dd.max_width = 1
 
     successors = problem.successors
@@ -391,34 +382,35 @@ def compile_diagram(problem: Problem, relaxation: Optional[Relaxation],
             if len(memo) >= cap:
                 memo.clear()
             known = memo.get
-        if nodes is None:
-            children: dict = {}
-            best: dict = {}
-            get = children.get
-            for state, base in layer.items():
-                if memo is None:
-                    arcs = successors(state, k)
+        children: dict = {}
+        into: dict = {}
+        get = children.get
+        for state, base in layer.items():
+            if memo is None:
+                arcs = successors(state, k)
+            else:
+                arcs = known(state)
+                if arcs is None:
+                    arcs = memo[state] = tuple(successors(state, k))
+            for value, child_state, weight in arcs:
+                candidate = base + weight
+                if use_rub and not candidate + estimates[child_state] > incumbent:
+                    continue
+                old = get(child_state)
+                if old is None:
+                    children[child_state] = candidate
+                    into[child_state] = [(state, value, weight)]
                 else:
-                    arcs = known(state)
-                    if arcs is None:
-                        arcs = memo[state] = tuple(successors(state, k))
-                for value, child_state, weight in arcs:
-                    candidate = base + weight
-                    if use_rub and not candidate + estimates[child_state] > incumbent:
-                        continue
-                    old = get(child_state)
-                    if old is None or candidate > old:
+                    if candidate > old:
                         children[child_state] = candidate
-                        best[child_state] = (state, value, weight)
-            survivors = None
+                    into[child_state].append((state, value, weight))
+        if dd.last_exact_layer is None:     # never filter below a merge
             if key is None:
                 seen = marks and marks[k + 1]
                 if seen:
                     for state in children.keys() & seen.keys():
                         if children[state] <= seen[state]:
                             del children[state]
-                            del best[state]
-                            survivors = children
             else:
                 # the best node per key, the first on ties, if it beats
                 # its key's mark
@@ -433,117 +425,68 @@ def compile_diagram(problem: Problem, relaxation: Optional[Relaxation],
                 if len(top) < len(children):
                     for state in children.keys() - top.values():
                         del children[state]
-                        del best[state]
-                    survivors = children
-            if len(children) > dd.max_width:
-                dd.max_width = len(children)
-            # a relaxed diagram keeps its root's children whole, so that
-            # its last exact layer lies below its root
-            squeeze = (kind is not DiagramKind.EXACT and len(children) > width
-                       and (k > first or not relaxed))
-            if not (squeeze and relaxed):
-                dd.nodes_created += len(children)
-                if squeeze:
-                    items = list(children.items())
-                    keys = ([(v + estimates[state], v) for state, v in items]
-                            if rank_by_bound else list(children.values()))
-                    children = dict(restrict_layer(items, width, keys))
-                    dd.is_exact = False
-                layer = children
-                values.append(layer)
-                best_arcs.append(best)
-                if not layer:
-                    break
-                continue
-            # the first relaxed squeeze: `layer` is the last exact layer;
-            # rebuild it as Nodes and expand it again, keeping every arc
-            # into a child state that `survivors`, when set, still holds
-            dd.last_exact_layer = k
-            layer = [Node(state, base) for state, base in layer.items()]
-            nodes = dd._nodes = [layer]
-
-        by_state: dict = {}
-        get = by_state.get
-        for node in layer:
-            base = node.value_top
-            if memo is None:
-                arcs = successors(node.state, k)
+        dd.nodes_created += len(children)
+        if len(children) > dd.max_width:
+            dd.max_width = len(children)
+        # a relaxed diagram keeps its root's children whole, so that its
+        # last exact layer lies below its root
+        if (kind is not DiagramKind.EXACT and len(children) > width
+                and (k > first or not relaxed)):
+            keys = ([(v + estimates[state], v) for state, v in children.items()]
+                    if rank_by_bound else None)
+            if relaxed:
+                if dd.last_exact_layer is None:
+                    dd.last_exact_layer = k
+                children = relax_layer(children, width, relaxation, into,
+                                       layer, keys)
+                if len(children) == width:
+                    # width - 1 kept plus a fresh merged node; a collision
+                    # folds into a kept node instead and creates nothing
+                    dd.nodes_created += 1
             else:
-                arcs = known(node.state)
-                if arcs is None:
-                    arcs = memo[node.state] = tuple(successors(node.state, k))
-            if survivors is not None:
-                arcs = [arc for arc in arcs if arc[1] in survivors]
-            for value, child_state, weight in arcs:
-                candidate = base + weight
-                if use_rub and not candidate + estimates[child_state] > incumbent:
-                    continue
-                arc = (node, value, weight)
-                child = get(child_state)
-                if child is None:
-                    child = by_state[child_state] = Node(
-                        child_state, candidate, arc, [])
-                elif candidate > child.value_top:
-                    child.value_top = candidate
-                    child.best_arc = arc
-                child.inbound.append(arc)
-        layer = list(by_state.values())
-        survivors = None                # never filter below a merge
-        dd.nodes_created += len(layer)
-        if len(layer) > dd.max_width:
-            dd.max_width = len(layer)
-        if len(layer) > width:
-            keys = ([(nd.value_top + estimates[nd.state], nd.value_top)
-                     for nd in layer] if rank_by_bound else None)
-            layer = relax_layer(layer, width, relaxation, keys)
-            if len(layer) == width:
-                # width - 1 kept plus a fresh merge node; a collision
-                # folds into a kept node instead and creates nothing
-                dd.nodes_created += 1
+                children = restrict_layer(children, width, keys)
             dd.is_exact = False
-        nodes.append(layer)
+        layer = children
+        values.append(layer)
+        inbound.append(into)
         if not layer:
             break
 
     # `layer` is empty after a dead end, else the terminal layer
     if layer:
-        if nodes is None:
-            dd._terminal = max(layer.items(), key=itemgetter(1))
-            dd.value = dd._terminal[1]
-        else:
-            dd._best_terminal = max(layer, key=attrgetter("value_top"))
-            dd.value = dd._best_terminal.value_top
+        dd.value = max(layer.values())
     return dd
+
+
+def _terminal(dd: DecisionDiagram):
+    """The state of the best terminal, the first on ties."""
+    return next(state for state, value in dd._values[-1].items()
+                if value == dd.value)
+
+
+def _prefix(dd: DecisionDiagram, state, rel: int) -> list:
+    """Decision values along best arcs from the root to `state` in layer
+    `rel`; a best arc is the first inbound arc reaching its value_top."""
+    values, arcs = dd._values, dd._arcs
+    value_top = values[rel][state]
+    path = []
+    for rel in range(rel, 0, -1):
+        above = values[rel - 1]
+        for parent, value, weight in arcs[rel][state]:
+            base = above[parent]
+            if base + weight == value_top:
+                break
+        path.append(value)
+        state, value_top = parent, base
+    path.reverse()
+    return path
 
 
 def best_solution(dd: DecisionDiagram):
     """(value, decision values from the diagram root) of the best terminal path."""
     if dd.value == NEG_INF:
         return None
-    if dd._terminal is not None:
-        return dd.value, _prefix(dd._arcs, dd._terminal[0], len(dd._arcs) - 1)
-    return dd.value, _path_to(dd.best_terminal)
-
-
-def _prefix(arcs: List[dict], state, rel: int) -> list:
-    """Decision values along the best arcs of state-keyed layers, from the
-    root to `state` in layer `rel`."""
-    values = []
-    for rel in range(rel, 0, -1):
-        state, value, _ = arcs[rel][state]
-        values.append(value)
-    values.reverse()
-    return values
-
-
-def _path_to(node: Node) -> list:
-    values = []
-    while node.best_arc is not None:
-        parent, value, _ = node.best_arc
-        values.append(value)
-        node = parent
-    values.reverse()
-    return values
+    return dd.value, _prefix(dd, _terminal(dd), len(dd._values) - 1)
 
 
 def exact_cutset(dd: DecisionDiagram, use_local_bounds: bool = True) -> List[SubProblem]:
@@ -555,51 +498,44 @@ def exact_cutset(dd: DecisionDiagram, use_local_bounds: bool = True) -> List[Sub
     if dd.kind is not DiagramKind.RELAXED or dd.is_exact:
         raise ValueError("exact cutset is only defined for inexact relaxed diagrams")
     rel = dd.last_exact_layer - dd.first_layer
-    arcs = dd._arcs
-    return [SubProblem(node.state, node.value_top,
-                       tuple(_path_to(node) if arcs is None
-                             else _prefix(arcs, node.state, rel)),
-                       node.local_bound if use_local_bounds else dd.value)
-            for node in dd._nodes[0]]
+    bots = dd._value_bot
+    return [SubProblem(state, value_top, tuple(_prefix(dd, state, rel)),
+                       value_top + bots.get(state, NEG_INF)
+                       if use_local_bounds else dd.value)
+            for state, value_top in dd._values[rel].items()]
 
 
 def compute_local_bounds(dd: DecisionDiagram) -> int:
-    """Annotate the last-exact-layer nodes of a relaxed diagram with their
-    local bounds.
+    """Give the last-exact-layer states of a relaxed diagram their local
+    bounds, which `exact_cutset` reads.
 
-    Walking up from the terminal layer, each node accumulates `value_bot`,
-    the value of its best node-to-terminal path (NEG_INF when it reaches no
-    terminal).  A cutset node's local bound is `value_top + value_bot`, the
-    value of the best full path through it, an upper bound on anything
-    attainable from its state; a dead end's is NEG_INF.  The pass touches
-    only nodes and arcs the compilation created, all of them `Node`s at or
-    below the last exact layer.  Returns the number of node visits, which
-    callers may compare against `dd.nodes_created`.
+    Walking up from the terminal layer, each layer's `state -> value_bot`
+    holds the value of the best path from each state to the terminal,
+    for the states that reach one.  A cutset state's local bound is
+    `value_top + value_bot`, the value of the best full path through it,
+    an upper bound on anything attainable from its state; a dead end's is
+    NEG_INF.  The pass touches only nodes and arcs the compilation created
+    at or below the last exact layer.  Returns the number of node visits,
+    which callers may compare against `dd.nodes_created`.
     """
     if dd.kind is not DiagramKind.RELAXED:
         raise ValueError("local bounds are computed on relaxed diagrams")
     if dd.is_exact or dd.last_exact_layer is None:
         raise ValueError("an exact diagram has no cutset to annotate")
 
-    visits = 0
-    nodes = dd._nodes
-    if dd._best_terminal is not None:
-        for node in nodes[-1]:
-            node.value_bot = 0
-        for layer in reversed(nodes[1:]):
-            for node in layer:
-                visits += 1
-                bot = node.value_bot
-                if bot == NEG_INF:
-                    continue
-                for parent, _, weight in (node.inbound or ()):
-                    candidate = bot + weight
-                    if candidate > parent.value_bot:
-                        parent.value_bot = candidate
-
-    for node in nodes[0]:
-        visits += 1
-        node.local_bound = node.value_top + node.value_bot
+    values, arcs = dd._values, dd._arcs
+    cut = dd.last_exact_layer - dd.first_layer
+    bots = dict.fromkeys(values[-1], 0)     # empty after a dead end
+    visits = len(values[cut])
+    for rel in range(len(values) - 1, cut, -1):
+        visits += len(bots)
+        into, above = arcs[rel], {}
+        for state, bot in bots.items():
+            for parent, _, weight in into[state]:
+                if bot + weight > above.get(parent, NEG_INF):
+                    above[parent] = bot + weight
+        bots = above
+    dd._value_bot = bots
     return visits
 
 

@@ -71,8 +71,9 @@ class Problem(ABC):
     node for s's loses no solution that could beat s's.  Returning the state
     itself is always sound; a key that maps distinct states together must
     justify the domination, as `Tsptw.dominance_key` does.  The compiler
-    calls the key only on the state-keyed layers of a solve's compiles, so
-    never on a merged state, and a model without a key costs no call.
+    calls the key only on layers down to a relaxed diagram's first squeeze,
+    that layer included, so never on a merged state, and a model without a
+    key costs no call.
     """
 
     n: int

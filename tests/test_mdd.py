@@ -1,3 +1,4 @@
+import collections
 import random
 
 import pytest
@@ -77,77 +78,72 @@ def test_crafted_cutset_is_last_exact_layer():
 # layer operators
 
 
-def nodes_with_values(values):
-    return [Node(state=i, value_top=v, inbound=[]) for i, v in enumerate(values)]
+def layer_of(values):
+    """A `state -> value_top` layer with states 0, 1, ..."""
+    return dict(enumerate(values))
 
 
 def test_restrict_keeps_largest():
-    layer = nodes_with_values([10, 7, 3])
-    kept = restrict_layer(layer, 2)
-    assert [n.value_top for n in kept] == [10, 7]
+    kept = restrict_layer(layer_of([10, 7, 3]), 2)
+    assert list(kept.values()) == [10, 7]
 
 
 def test_restrict_breaks_ties_by_insertion():
-    layer = nodes_with_values([5, 5, 5])
-    kept = restrict_layer(layer, 2)
-    assert [n.state for n in kept] == [0, 1]
+    kept = restrict_layer(layer_of([5, 5, 5]), 2)
+    assert list(kept) == [0, 1]
 
 
 def test_restrict_noop_when_within_width():
-    layer = nodes_with_values([10, 7])
+    layer = layer_of([10, 7])
     assert restrict_layer(layer, 2) is layer
 
 
 def test_relax_merges_mcp_states():
-    parent = Node(state=None, value_top=0)
-    a = Node(state=(5, 3, -2), value_top=9, inbound=[(parent, 0, 9)])
-    b = Node(state=(9, 5, -4), value_top=7, inbound=[(parent, 1, 7)])
-    merged_layer = relax_layer([a, b], 1, McpRelaxation())
-    assert len(merged_layer) == 1
-    merged = merged_layer[0]
-    assert merged is not a and merged.state == (5, 3, -2)
-    # arc into the second state lost magnitude (5-3) + (4-2) = 4
-    weights = sorted(w for _, _, w in merged.inbound)
-    assert weights == [9, 11]
-    assert merged.value_top == 11
+    above = {"r": 0}
+    a, b = (5, 3, -2), (9, 5, -4)
+    arcs = {a: [("r", 0, 9)], b: [("r", 1, 7)]}
+    merged_layer = relax_layer({a: 9, b: 7}, 1, McpRelaxation(), arcs, above)
+    # arc into the second state lost magnitude (5-3) + (4-2) = 4; the merge
+    # is a fresh node, so its arcs replace those of a, whose state it has
+    assert list(merged_layer.items()) == [((5, 3, -2), 11)]
+    assert arcs[(5, 3, -2)] == [("r", 0, 9), ("r", 1, 11)]
 
 
 def test_relax_singleton_selection_goes_inexact():
-    parent = Node(state=None, value_top=1)
-    a = Node(state=(2, 2), value_top=8, inbound=[(parent, 0, 7)])
-    b = Node(state=(1, 1), value_top=3, inbound=[(parent, 1, 2)])
-    layer = relax_layer([a, b], 2, McpRelaxation())
-    assert [n.state for n in layer] == [(2, 2), (1, 1)]
-    assert layer[0] is a and layer[1] is not b  # b is copied into a merge
-    assert layer[1].value_top == 3  # singleton merge is the identity
-    assert layer[1].inbound == [(parent, 1, 2)]
+    above = {"r": 1}
+    a, b = (2, 2), (1, 1)
+    arcs = {a: [("r", 0, 7)], b: [("r", 1, 2)]}
+    a_arcs, b_arcs = arcs[a], arcs[b]
+    layer = relax_layer({a: 8, b: 3}, 2, McpRelaxation(), arcs, above)
+    assert list(layer.items()) == [((2, 2), 8), ((1, 1), 3)]
+    # b is copied into a merge: the identity on singletons
+    assert arcs[a] is a_arcs and arcs[b] is not b_arcs
+    assert arcs[b] == [("r", 1, 2)]
 
 
 def test_relax_collision_folds_into_kept_node():
-    parent = Node(state=None, value_top=0)
-    a = Node(state=0b110, value_top=9, inbound=[(parent, 1, 9)])
-    b = Node(state=0b100, value_top=5, inbound=[(parent, 0, 5)])
-    c = Node(state=0b010, value_top=4, inbound=[(parent, 1, 4)])
-    layer = relax_layer([a, b, c], 2, misp.MispRelaxation())
+    above = {"r": 0}
+    arcs = {0b110: [("r", 1, 9)], 0b100: [("r", 0, 5)], 0b010: [("r", 1, 4)]}
+    layer = relax_layer({0b110: 9, 0b100: 5, 0b010: 4}, 2,
+                        misp.MispRelaxation(), arcs, above)
     # union of the two weakest is 0b110, the state of the kept node
-    assert layer == [a]
-    assert a.value_top == 9
-    assert [arc[2] for arc in a.inbound] == [9, 5, 4]
+    assert list(layer.items()) == [(0b110, 9)]
+    assert [arc[2] for arc in arcs[0b110]] == [9, 5, 4]
 
 
 def test_relax_breaks_ties_by_insertion():
     # width 3 keeps two nodes: the 9 and the first of the 5s tied at the cut,
     # also when a tied node comes before the 9
-    parent = Node(state=0, value_top=0)
+    above = {0: 0}
     for values, kept in (([9, 5, 5, 5], [0b0001, 0b0010]),
                          ([5, 9, 5, 5], [0b0001, 0b0010])):
-        layer = [Node(state=1 << i, value_top=v, inbound=[(parent, 1, v)])
-                 for i, v in enumerate(values)]
-        squeezed = relax_layer(layer, 3, misp.MispRelaxation())
-        assert [n.state for n in squeezed] == kept + [0b1100]
-        assert squeezed[:2] == [node for node in layer if node.state in kept]
-        assert squeezed[-1].value_top == 5
-        assert squeezed[-1].inbound == [(parent, 1, 5)] * 2
+        layer = {1 << i: v for i, v in enumerate(values)}
+        arcs = {state: [(0, 1, v)] for state, v in layer.items()}
+        squeezed = relax_layer(layer, 3, misp.MispRelaxation(), arcs, above)
+        assert list(squeezed) == kept + [0b1100]
+        assert all(squeezed[state] == layer[state] for state in kept)
+        assert squeezed[0b1100] == 5
+        assert arcs[0b1100] == [(0, 1, 5)] * 2
 
 
 def check_squeezes_against_sorted_ranking(seed, key_of):
@@ -162,21 +158,26 @@ def check_squeezes_against_sorted_ranking(seed, key_of):
         ranked = sorted(range(len(values)), reverse=True,
                         key=lambda i: values[i] if keys is None else keys[i])
         for width in range(1, len(values) + 2):
-            layer = [Node(state=1 << i, value_top=v, inbound=[])
-                     for i, v in enumerate(values)]
+            layer = {1 << i: v for i, v in enumerate(values)}
+            arcs = {state: [(0, 1, v)] for state, v in layer.items()}
             kept = restrict_layer(layer, width, keys)
-            assert kept == [layer[i] for i in sorted(ranked[:width])]
-            squeezed = relax_layer(layer, width, misp.MispRelaxation(), keys)
+            assert list(kept.items()) == [(1 << i, values[i])
+                                          for i in sorted(ranked[:width])]
+            squeezed = relax_layer(layer, width, misp.MispRelaxation(), arcs,
+                                   {0: 0}, keys)
             if len(layer) < width:
                 assert squeezed is layer
                 continue
-            assert squeezed[:-1] == [layer[i]
-                                     for i in sorted(ranked[:width - 1])]
+            assert list(squeezed.items())[:-1] == [
+                (1 << i, values[i]) for i in sorted(ranked[:width - 1])]
             merged = 0
             for i in ranked[width - 1:]:
                 merged |= 1 << i
-            assert squeezed[-1].state == merged
-            assert all(squeezed[-1] is not node for node in layer)
+            assert list(squeezed)[-1] == merged
+            assert squeezed[merged] == max(values[i]
+                                           for i in ranked[width - 1:])
+            assert arcs[merged] == [(0, 1, values[i])
+                                    for i in sorted(ranked[width - 1:])]
 
 
 def test_squeezes_match_the_sorted_ranking():
@@ -325,6 +326,43 @@ def test_to_dot_marks_inexact_nodes():
     assert "peripheries" not in to_dot(restricted)
 
 
+# to_dot of the crafted instance's width-3 relaxed and restricted diagrams;
+# only arcs below the last exact layer are drawn beyond the best arcs
+CRAFTED_RELAXED_DOT = (
+    'digraph dd {\n  rankdir=TB;\n  n0 [label="15\\nv=0"];\n'
+    '  n1 [label="14\\nv=0"];\n  n2 [label="10\\nv=12"];\n'
+    '  n3 [label="4\\nv=13", peripheries=2];\n'
+    '  n4 [label="0\\nv=25", peripheries=2];\n'
+    '  n5 [label="12\\nv=12", peripheries=2];\n'
+    '  n6 [label="0\\nv=25", peripheries=2];\n'
+    '  n7 [label="8\\nv=18", peripheries=2];\n'
+    '  n8 [label="0\\nv=26", peripheries=2];\n'
+    '  n0 -> n1 [label="0/0"];\n  n0 -> n2 [label="1/12"];\n'
+    '  n1 -> n3 [label="1/13"];\n  n2 -> n4 [label="1/13"];\n'
+    '  n1 -> n5 [label="0/0"];\n  n2 -> n5 [label="0/0"];\n'
+    '  n3 -> n6 [label="0/0"];\n  n3 -> n6 [label="1/6"];\n'
+    '  n4 -> n6 [label="0/0"];\n  n5 -> n7 [label="0/0"];\n'
+    '  n5 -> n7 [label="1/6"];\n  n6 -> n8 [label="0/0"];\n'
+    '  n7 -> n8 [label="0/0"];\n  n7 -> n8 [label="1/8"];\n}\n')
+CRAFTED_RESTRICTED_DOT = (
+    'digraph dd {\n  rankdir=TB;\n  n0 [label="15\\nv=0"];\n'
+    '  n1 [label="14\\nv=0"];\n  n2 [label="10\\nv=12"];\n'
+    '  n3 [label="4\\nv=13"];\n  n4 [label="8\\nv=12"];\n'
+    '  n5 [label="0\\nv=25"];\n  n6 [label="0\\nv=25"];\n'
+    '  n7 [label="8\\nv=12"];\n  n8 [label="0\\nv=25"];\n'
+    '  n0 -> n1 [label="0/0"];\n  n0 -> n2 [label="1/12"];\n'
+    '  n1 -> n3 [label="1/13"];\n  n2 -> n4 [label="0/0"];\n'
+    '  n2 -> n5 [label="1/13"];\n  n5 -> n6 [label="0/0"];\n'
+    '  n4 -> n7 [label="0/0"];\n  n6 -> n8 [label="0/0"];\n}\n')
+
+
+def test_to_dot_bytes_are_pinned():
+    problem, relaxation = crafted()
+    for kind, dot in ((DiagramKind.RELAXED, CRAFTED_RELAXED_DOT),
+                      (DiagramKind.RESTRICTED, CRAFTED_RESTRICTED_DOT)):
+        assert to_dot(compile_kind(problem, relaxation, kind, 3)) == dot, kind
+
+
 def layer_signature(dd):
     """Every node's state, value, best arc and inbound arcs, with each arc's
     parent given by its position in the layer above."""
@@ -363,7 +401,7 @@ def test_a_shared_bound_memo_changes_no_layer(name, monkeypatch):
 
     for callback in calls:
         setattr(problem, callback, counted(callback, getattr(problem, callback)))
-    runs, cuts = {}, 0
+    runs = {}
     for memo in ("direct", "fresh", "shared", "capped"):
         if memo == "capped":
             monkeypatch.setattr(mdd, "BOUND_MEMO_ENTRIES", 2 * (problem.n + 1))
@@ -385,16 +423,12 @@ def test_a_shared_bound_memo_changes_no_layer(name, monkeypatch):
                for sub in subs
                for kind in (DiagramKind.RESTRICTED, DiagramKind.RELAXED)
                for rank in (False, True)]
-        # a relaxed diagram expands its last exact layer twice, as state-keyed
-        # layers and as Nodes; a memo serves the second expansion
-        cuts = sum(len(dd.layers[dd.last_exact_layer - dd.first_layer])
-                   for dd in dds if dd.last_exact_layer is not None)
         runs[memo] = list(map(layer_signature, dds)), dict(calls)
     assert (runs["direct"][0] == runs["fresh"][0] == runs["shared"][0]
             == runs["capped"][0])
     direct, fresh, shared, capped = (runs[memo][1] for memo in runs)
     assert direct["rough_bound"] == fresh["rough_bound"]
-    assert direct["successors"] == fresh["successors"] + cuts
+    assert direct["successors"] == fresh["successors"]
     for callback in calls:
         assert 0 < shared[callback] < capped[callback], callback
         assert shared[callback] < fresh[callback], callback
@@ -406,13 +440,31 @@ def test_compile_rejects_zero_width():
         compile_kind(problem, relaxation, DiagramKind.RESTRICTED, 0)
 
 
+def test_a_squeezing_relaxed_compile_expands_each_node_once():
+    # MISP keeps no successors memo, so every expansion is a call
+    _, problem, relaxation = make_problem("misp", 0, 30)
+    calls = collections.Counter()
+    direct = problem.successors
+
+    def counted(state, k):
+        calls[k, state] += 1
+        return direct(state, k)
+
+    problem.successors = counted
+    dd = compile_kind(problem, relaxation, DiagramKind.RELAXED, 4)
+    assert dd.last_exact_layer is not None
+    expanded = [(k, node.state) for k, layer in enumerate(dd.layers[:-1])
+                for node in layer]
+    assert calls == collections.Counter(expanded)
+
+
 # ---------------------------------------------------------------------------
-# node representations: a relaxed diagram builds Nodes from its last exact
-# layer down, every other layer is state-keyed, with a Node view on first read
+# node representation: every compiled layer is state-keyed, with a Node view
+# on first read
 
 
 @pytest.mark.parametrize("name,n", [("misp", 40), ("tsptw", 11)])
-def test_only_relaxed_compiles_construct_nodes(name, n, monkeypatch):
+def test_no_compile_constructs_a_node(name, n, monkeypatch):
     built = []
 
     class Counted(Node):
@@ -421,28 +473,22 @@ def test_only_relaxed_compiles_construct_nodes(name, n, monkeypatch):
             built.append(self)
 
     monkeypatch.setattr(mdd, "Node", Counted)
-    seen = 0
-    with_nodes = {"restricted": 0, "relaxed": 0}
+    kinds = set()
 
     def observe(kind, dd, sub, incumbent):
-        nonlocal seen
-        fresh = built[seen:]            # the Nodes this compile built
-        if dd.last_exact_layer is None:
-            assert not fresh
-        else:
-            with_nodes[kind] += 1
-            cut = dd.last_exact_layer - dd.first_layer
-            below = {id(node) for layer in dd.layers[cut:] for node in layer}
-            above = sum(map(len, dd.layers[:cut]))
-            assert len(fresh) == dd.nodes_created - above
-            assert below <= {id(node) for node in fresh}
-        seen = len(built)               # skip the Nodes of the view
+        assert not built
+        kinds.add((kind, dd.last_exact_layer is not None))
 
     _, problem, relaxation = make_problem(name, 0, n)
     out = solve(problem, relaxation, SolveConfig(use_rub=False, use_locb=False,
                                                  dd_observer=observe))
     assert out.optimal
-    assert with_nodes["relaxed"] > 0 == with_nodes["restricted"]
+    assert {("restricted", False), ("relaxed", True)} <= kinds
+    # the view is what builds them
+    dd = compile_kind(problem, relaxation, DiagramKind.RELAXED, 2)
+    assert not built
+    layers = dd.layers
+    assert len(built) == sum(map(len, layers)) > 0
 
 
 def path_of(node):
@@ -457,17 +503,17 @@ def path_of(node):
 
 @pytest.mark.parametrize("name", PROBLEMS)
 def test_the_node_view_replays_the_best_solution(name):
-    joins = 0
+    squeezes = 0
     for seed in range(3):
         _, problem, relaxation = make_problem(name, seed, 9)
         for kind, width in [(DiagramKind.EXACT, 0), (DiagramKind.RESTRICTED, 1),
                             (DiagramKind.RESTRICTED, 3), (DiagramKind.RELAXED, 1),
                             (DiagramKind.RELAXED, 3)]:
             dd = compile_kind(problem, relaxation, kind, width)
-            # a squeezed relaxed diagram's view joins its state-keyed
-            # layers to its Node layers at the last exact layer
-            joined = kind is DiagramKind.RELAXED and not dd.is_exact
-            assert (dd.last_exact_layer is not None) == joined
+            # a squeezed relaxed diagram's view shows every inbound arc
+            # below its last exact layer
+            squeezed = kind is DiagramKind.RELAXED and not dd.is_exact
+            assert (dd.last_exact_layer is not None) == squeezed
             value, decisions = best_solution(dd)
             assert dd.best_terminal in dd.layers[-1]
             assert dd.best_terminal.value_top == value == dd.value
@@ -476,5 +522,5 @@ def test_the_node_view_replays_the_best_solution(name):
             assert dd.layers is dd.layers   # built once, then cached
             assert len(dd.layers) == problem.n + 1
             assert sum(map(len, dd.layers)) <= dd.nodes_created
-            joins += joined
-    assert joins > 0
+            squeezes += squeezed
+    assert squeezes > 0

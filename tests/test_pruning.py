@@ -12,36 +12,48 @@ PROBLEMS = ["misp", "mcp", "max2sat", "tsptw"]
 
 
 # ---------------------------------------------------------------------------
-# hand-built diagram reproducing the two-cutset-node scenario: node a can
-# contribute at most 16, node b at most 102
+# hand-built diagrams, given as Node layers and turned into compiled form
+
+
+def relaxed_diagram(layers, last_exact_layer):
+    """An inexact relaxed diagram holding the states, values and inbound
+    arcs of `layers`, lists of `Node`s, in a compiled diagram's form."""
+    dd = DecisionDiagram(DiagramKind.RELAXED, 0)
+    dd._values = [{node.state: node.value_top for node in layer}
+                  for layer in layers]
+    dd._arcs = [{node.state: [(parent.state, value, weight)
+                              for parent, value, weight in node.inbound]
+                 for node in layer} for layer in layers]
+    dd.is_exact = False
+    dd.last_exact_layer = last_exact_layer
+    dd.value = max(dd._values[-1].values())
+    return dd
 
 
 def handmade_diagram():
+    # the two-cutset-node scenario: node a can contribute at most 16, node b
+    # at most 102
     root = Node("r", 0, inbound=[])
-    a = Node("a", 10, best_arc=(root, 0, 10), inbound=[(root, 0, 10)])
-    b = Node("b", 100, best_arc=(root, 1, 100), inbound=[(root, 1, 100)])
-    m1 = Node("m1", 14, best_arc=(a, 0, 4), inbound=[(a, 0, 4)])
-    m2 = Node("m2", 101, best_arc=(b, 0, 1), inbound=[(b, 0, 1)])
-    t = Node("t", 102, best_arc=(m2, 1, 1), inbound=[(m1, 1, 2), (m2, 1, 1)])
-    dd = DecisionDiagram(kind=DiagramKind.RELAXED, first_layer=0,
-                         layers=[[root], [a, b], [m1, m2], [t]],
-                         is_exact=False, last_exact_layer=1,
-                         best_terminal=t, nodes_created=6)
-    return dd, a, b
+    a = Node("a", 10, inbound=[(root, 0, 10)])
+    b = Node("b", 100, inbound=[(root, 1, 100)])
+    m1 = Node("m1", 14, inbound=[(a, 0, 4)])
+    m2 = Node("m2", 101, inbound=[(b, 0, 1)])
+    t = Node("t", 102, inbound=[(m1, 1, 2), (m2, 1, 1)])
+    return relaxed_diagram([[root], [a, b], [m1, m2], [t]], 1)
 
 
 def test_local_bounds_of_handmade_diagram():
-    dd, a, b = handmade_diagram()
+    dd = handmade_diagram()
     compute_local_bounds(dd)
-    assert a.local_bound == 16
-    assert b.local_bound == 102
-    assert max(a.local_bound, b.local_bound) == dd.value
+    bounds = [s.ub for s in exact_cutset(dd)]
+    assert bounds == [16, 102]
+    assert max(bounds) == dd.value
 
 
 def test_local_bound_skips_work_when_incumbent_is_large():
     # with an incumbent of 20 node a is not worth enqueueing, and once the
     # incumbent reaches 110 even node b can be dropped on arrival
-    dd, a, b = handmade_diagram()
+    dd = handmade_diagram()
     compute_local_bounds(dd)
     subs = exact_cutset(dd)
     assert [s.ub for s in subs] == [16, 102]
@@ -51,16 +63,15 @@ def test_local_bound_skips_work_when_incumbent_is_large():
 
 def test_dead_end_cutset_node_gets_neg_inf():
     root = Node("r", 0, inbound=[])
-    a = Node("a", 3, best_arc=(root, 0, 3), inbound=[(root, 0, 3)])
-    b = Node("b", 9, best_arc=(root, 1, 9), inbound=[(root, 1, 9)])
-    m = Node("m", 10, best_arc=(a, 0, 7), inbound=[(a, 0, 7)])
-    t = Node("t", 12, best_arc=(m, 0, 2), inbound=[(m, 0, 2)])
-    dd = DecisionDiagram(kind=DiagramKind.RELAXED, first_layer=0,
-                         layers=[[root], [a, b], [m], [t]], is_exact=False,
-                         last_exact_layer=1, best_terminal=t, nodes_created=5)
+    a = Node("a", 3, inbound=[(root, 0, 3)])
+    b = Node("b", 9, inbound=[(root, 1, 9)])
+    m = Node("m", 10, inbound=[(a, 0, 7)])
+    t = Node("t", 12, inbound=[(m, 0, 2)])
+    dd = relaxed_diagram([[root], [a, b], [m], [t]], 1)
     compute_local_bounds(dd)
-    assert a.local_bound == 12
-    assert b.local_bound == NEG_INF  # b never reaches the terminal
+    # b never reaches the terminal
+    assert [(s.state, s.ub) for s in exact_cutset(dd)] == [("a", 12),
+                                                           ("b", NEG_INF)]
 
 
 def test_rub_filter_strict_boundary():
