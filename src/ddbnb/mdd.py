@@ -155,12 +155,14 @@ class DecisionDiagram:
         for rel, (values, arcs) in enumerate(zip(self._values, self._arcs)):
             parents, nodes = nodes, {}
             for state, value_top in values.items():
-                inbound = [(parents[parent], value, weight)
-                           for parent, value, weight in arcs.get(state, ())]
-                best = next((arc for arc in inbound
-                             if arc[0].value_top + arc[2] == value_top), None)
-                nodes[state] = Node(state, value_top, best,
-                                    inbound if rel > cut else None)
+                into = arcs.get(state, ())
+                best = next((arc for arc in into if parents[arc[0]].value_top
+                             + arc[2] == value_top), None)
+                nodes[state] = Node(
+                    state, value_top,
+                    best and (parents[best[0]], best[1], best[2]),
+                    [(parents[parent], value, weight)
+                     for parent, value, weight in into] if rel > cut else None)
             layers.append(list(nodes.values()))
         self._layers = layers
         if self.value != NEG_INF:
