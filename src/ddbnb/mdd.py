@@ -25,16 +25,18 @@ nodes are the branching frontier handed to the driver.  A relaxed diagram
 never squeezes the first layer below its root, so that frontier lies below
 the root and every branching fixes at least one variable.
 
-Each node is expanded once, with one `Problem.successors` call.  Given an
-`expansions` memo (see `successors_memo`), which the solver keeps for a
-whole solve when the model sets `memoize_successors`, the call happens only
-on a (layer, state)'s first expansion, and every later node with that layer
-and state re-reads the kept arcs.  With `use_rub`, every candidate arc whose
-child's rough bound does not strictly beat the incumbent is discarded before
-insertion.  This may only remove completions that are no better than the
-incumbent, so values derived from the diagram remain valid for pruning and
-incumbent improvement.  A deadline is
-checked before each layer; once it has passed, `TimeoutError` is raised.
+Each node is expanded once per compile, with one `Problem.successors`
+call, or one `Problem.live_successors` call under `use_rub` when the model
+has that hook.  Given an `expansions` memo (see `successors_memo`), which
+the solver keeps for a whole solve when the model sets
+`memoize_successors`, the call happens only on a (layer, state)'s first
+expansion, and every later node with that layer and state re-reads the
+kept arcs.  With `use_rub`, every candidate arc whose child's rough bound
+does not strictly beat the incumbent is discarded before insertion.  This
+may only remove completions that are no better than the incumbent, so
+values derived from the diagram remain valid for pruning and incumbent
+improvement.  A deadline is checked before each layer; once it has passed,
+`TimeoutError` is raised.
 
 Given the solve's dominance marks (see `dominance_marks` and the solver's
 docstring), a node whose value_top does not beat the mark on its (layer,
@@ -282,7 +284,10 @@ SUCCESSOR_MEMO_ENTRIES = 1 << 14
 
 def successors_memo(problem: Problem) -> List[dict]:
     """An empty successors memo: one dict per layer 0..n-1, mapping a state
-    to `tuple(problem.successors(state, k))`."""
+    to the tuple of its expansion, `successors(state, k)` or, under
+    `use_rub`, `live_successors(state, k)`.  A memo therefore serves the
+    compiles of one `use_rub` setting, as the solver's per-solve memo
+    does."""
     return [{} for _ in range(problem.n)]
 
 
@@ -369,6 +374,8 @@ def compile_diagram(problem: Problem, relaxation: Optional[Relaxation],
     dd.nodes_created = dd.max_width = 1
 
     successors = problem.successors
+    if use_rub and problem.live_successors is not None:
+        successors = problem.live_successors
     key = None if marks is None else problem.dominance_key
     if bounds is None:
         bounds = bound_memo(problem)

@@ -64,6 +64,12 @@ class Problem(ABC):
                         value_top dominates: the solver's compiles keep the
                         best node per key (the first on ties) and read and
                         write the solve's dominance marks by key.
+      live_successors -- None, or a method `live_successors(state, k)`
+                        returning `successors(state, k)` minus some arcs
+                        whose child has `rough_bound(child, 0, k + 1) ==
+                        NEG_INF`, the other arcs unchanged and in order.
+                        The compiler expands through it in place of
+                        `successors` when rough-bound filtering is on.
 
     A key is sound when, for any two exact states s and t of one layer with
     equal keys, every completion feasible from t is feasible from s, at a
@@ -74,6 +80,13 @@ class Problem(ABC):
     calls the key only on layers down to a relaxed diagram's first squeeze,
     that layer included, so never on a merged state, and a model without a
     key costs no call.
+
+    `live_successors` cannot change a diagram: rough-bound filtering drops
+    every arc whose child's estimate is NEG_INF, whatever the incumbent,
+    before the child enters its layer, so the arcs it omits are arcs the
+    filter would drop.  It saves building those children and evaluating
+    their bounds.  Without the filter every child is kept, so `successors`
+    must still list them all.
     """
 
     n: int
@@ -83,6 +96,7 @@ class Problem(ABC):
     rank_by_bound: bool = False
     memoize_successors: bool = False
     dominance_key = None
+    live_successors = None
 
     @abstractmethod
     def domain(self, state: State, k: int) -> Iterable:

@@ -42,6 +42,17 @@ window-reachable cities remain to fill the tour, when a mandatory city can no
 longer be reached inside its window, or when even the underestimated return
 would miss the depot's closing time.  All of its estimates stay below every
 true completion without assuming the triangle inequality.
+
+Under rough-bound filtering the compiler expands through `live_successors`
+(see `Problem.live_successors`), which skips the children that fail the
+bound's mandatory-city test before building them.  A city's last start is
+its closing time minus its cheapest inbound edge.  A child that visits city
+c still must visit `must` minus c, so it is dead when its start exceeds the
+smallest last start over that set.  One pass over the parent's `must`
+finds the smallest and second-smallest last starts: the child that visits
+the argmin city compares with the second, every other child with the
+first.  `successors` keeps every child, so the filters' ablations still
+compare RUB against expanding them all.
 """
 
 from __future__ import annotations
@@ -126,6 +137,14 @@ class Tsptw(Problem):
         return -(travel + wait)
 
     def successors(self, state: TsptwState, k: int):
+        return self._expand(state, k, False)
+
+    def live_successors(self, state: TsptwState, k: int):
+        return self._expand(state, k, True)
+
+    def _expand(self, state: TsptwState, k: int, live: bool):
+        """`successors`, minus the dead children when `live` is set: those
+        that start after the last start of a city they still must visit."""
         position, earliest, latest, must, may = state
         dist = self.dist
         if position & (position - 1):
@@ -146,6 +165,22 @@ class Tsptw(Problem):
             return ((0, TsptwState(1, lo, max(lo, min(close_t, latest + hi_d)),
                                    0, 0), -lo_d),)
         opens, closes = self.opens, self.closes
+        # the smallest and second-smallest last starts over must, and the
+        # argmin city's bit (see the module docstring)
+        first = second = POS_INF
+        argmin = 0
+        if live:
+            last_start = self.last_start
+            mask = must
+            while mask:
+                bit = mask & -mask
+                mask ^= bit
+                t = last_start[bit.bit_length() - 1]
+                if t < second:
+                    if t < first:
+                        first, second, argmin = t, first, bit
+                    else:
+                        second = t
         # tuple.__new__ skips the NamedTuple's Python-level __new__
         new = tuple.__new__
         out = []
@@ -165,6 +200,8 @@ class Tsptw(Problem):
                 continue
             open_t = opens[city]
             start = open_t if open_t > lo else lo
+            if start > (second if bit == argmin else first):
+                continue
             hi = latest + hi_d
             end = hi if hi < close_t else close_t
             if end < start:

@@ -105,7 +105,10 @@ class SolveConfig:
     width: Optional[int] = None      # None: number of unfixed variables
     use_rub: bool = True
     use_locb: bool = True
-    timeout: Optional[float] = None  # seconds, checked before each layer
+    # seconds, checked before each layer; the clock starts when `solve` is
+    # called, so parsing and model construction (`cli.LOADERS`) lie outside
+    # the deadline, which covers the search only
+    timeout: Optional[float] = None
     # must be 1: a solve runs on one thread; the field stays only because
     # the benchmark harness (perfbench/run.py) still passes workers=1
     workers: int = 1

@@ -400,20 +400,24 @@ def test_the_successors_memo_changes_no_result(name, monkeypatch):
 def test_the_memo_expands_each_layer_state_once_per_solve(name):
     # the relaxed compile and the cutset children's compiles re-reach the
     # states that earlier compiles of the solve expanded; none of them calls
-    # successors again for a (layer, state)
+    # successors, or live_successors under rough-bound filtering, again for
+    # a (layer, state)
     repeats = 0
     for seed in range(3):
         _, problem, relaxation = make_problem(name, seed, 10)
-        expand = problem.successors
+        expand, live = problem.successors, problem.live_successors
         for width in (2, None):
             for use_rub, use_locb in ((False, False), (True, True)):
                 seen = Counter()
 
-                def counted(state, k):
+                def counted(state, k, call=expand):
                     seen[k, state] += 1
-                    return expand(state, k)
+                    return call(state, k)
 
                 problem.successors = counted
+                if live is not None:
+                    problem.live_successors = (
+                        lambda state, k: counted(state, k, live))
                 out = solve(problem, relaxation,
                             SolveConfig(width=width, use_rub=use_rub,
                                         use_locb=use_locb))

@@ -278,3 +278,41 @@ def test_dominance_key_pins_wide_window_counts():
             assert out.optimal
             assert (out.value, out.explored, out.dd_nodes) == counts[config], (
                 keyed, config)
+
+
+@pytest.mark.parametrize("n", [6, 8, 10])
+def test_live_successors_drop_only_children_the_rough_bound_kills(n):
+    # on the states of exact, restricted and relaxed diagrams, merged ones
+    # included, the live expansion keeps the arcs of `successors` in order
+    # and drops only children whose rough bound is NEG_INF, which RUB drops
+    # anyway: a compile under RUB builds the same diagram with the hook as
+    # without it
+    dropped = merged = 0
+    for seed in range(6):
+        _, problem, relaxation = make_problem("tsptw", seed, n)
+        root = SubProblem(problem.initial_state, 0)
+        states = set()
+        for kind, width in ((DiagramKind.EXACT, 0), (DiagramKind.RESTRICTED, 2),
+                            (DiagramKind.RELAXED, 1), (DiagramKind.RELAXED, 2)):
+            dd = compile_diagram(problem, relaxation, root, kind, width)
+            states.update((k, node.state)
+                          for k, layer in enumerate(dd.layers[:n])
+                          for node in layer)
+            diagrams = []
+            for live in (problem.live_successors, None):
+                problem.live_successors = live
+                dd = compile_diagram(problem, relaxation, root, kind, width,
+                                     use_rub=True)
+                diagrams.append((dd._values, dd._arcs, dd.nodes_created))
+            del problem.live_successors
+            assert diagrams[0] == diagrams[1], (seed, kind, width)
+        for k, state in states:
+            full = list(problem.successors(state, k))
+            live = list(problem.live_successors(state, k))
+            assert [arc for arc in full if arc in live] == live, (seed, k)
+            for arc in full:
+                if arc not in live:
+                    assert problem.rough_bound(arc[1], 0, k + 1) == NEG_INF
+                    dropped += 1
+            merged += state.position.bit_count() > 1
+    assert dropped and merged
